@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/endian.h"
 #include "core/workload_bundle.h"
@@ -66,175 +68,84 @@ class Reader {
   std::size_t at_ = 0;
 };
 
+/// Fixed bytes of a record before its result body: slot, status,
+/// error_class, attempts, seed, backoff, admission, admission_wait_ticks,
+/// message_len (with an empty message) and result_len.
+constexpr std::size_t kRecordPrefixBytes =
+    4 + 1 + 1 + 4 + 8 + 8 + 1 + 8 + 4 + 4;
+
 void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
 
 // --- SessionResult <-> bytes ----------------------------------------------
-// Doubles are stored as raw bit patterns: restore must be bit-exact, not
-// merely round-trip-close.
+// Both directions walk SessionResult's for_each_field, so the field list
+// and its order live in one place. Doubles are stored as raw bit patterns:
+// restore must be bit-exact, not merely round-trip-close.
 
-void put_session_result(std::vector<std::uint8_t>& out,
-                        const SessionResult& r) {
-  put_f64(out, r.qoe.duration_s);
-  put_u32(out, static_cast<std::uint32_t>(r.qoe.users.size()));
-  for (const sim::UserQoe& u : r.qoe.users) {
-    put_u64(out, static_cast<std::uint64_t>(u.user));
-    put_f64(out, u.displayed_fps);
-    put_f64(out, u.stall_time_s);
-    put_f64(out, u.stall_ratio);
-    put_f64(out, u.mean_quality_tier);
-    put_u64(out, static_cast<std::uint64_t>(u.quality_switches));
-    put_f64(out, u.mean_goodput_mbps);
-    put_f64(out, u.viewport_miss_ratio);
-    put_f64(out, u.mean_m2p_latency_s);
-    put_f64(out, u.max_m2p_latency_s);
+/// Appends each visited field: double -> f64 bits, uint8_t -> u8, every
+/// 8-byte unsigned count -> u64, the user-row count -> u32.
+struct FieldWriter {
+  std::vector<std::uint8_t>& out;
+
+  template <class T>
+  void operator()(std::string_view, const T& field) const {
+    static_assert(std::is_same_v<T, double> ||
+                  std::is_same_v<T, std::uint8_t> ||
+                  (std::is_unsigned_v<T> && sizeof(T) == 8));
+    if constexpr (std::is_same_v<T, double>)
+      put_f64(out, field);
+    else if constexpr (sizeof(T) == 1)
+      out.push_back(field);
+    else
+      put_u64(out, field);
   }
-  put_f64(out, r.multicast_bit_share);
-  put_f64(out, r.mean_group_size);
-  put_u64(out, static_cast<std::uint64_t>(r.custom_beam_uses));
-  put_u64(out, static_cast<std::uint64_t>(r.stock_beam_uses));
-  put_u64(out, static_cast<std::uint64_t>(r.blockage_forecasts));
-  put_u64(out, static_cast<std::uint64_t>(r.reflection_switches));
-  put_u64(out, static_cast<std::uint64_t>(r.dropped_ticks));
-  put_u64(out, static_cast<std::uint64_t>(r.outage_user_ticks));
-  put_u64(out, static_cast<std::uint64_t>(r.sls_sweeps));
-  put_u64(out, static_cast<std::uint64_t>(r.sls_outage_ticks));
-  put_f64(out, r.mean_airtime_utilization);
-  const fault::FaultReport& f = r.faults;
-  put_u64(out, static_cast<std::uint64_t>(f.faults_injected));
-  put_u64(out, static_cast<std::uint64_t>(f.recoveries));
-  put_f64(out, f.mean_time_to_recover_s);
-  put_f64(out, f.max_time_to_recover_s);
-  put_f64(out, f.fault_rebuffer_s);
-  put_u64(out, static_cast<std::uint64_t>(f.group_reformations));
-  put_u64(out, static_cast<std::uint64_t>(f.concealed_frames));
-  put_u64(out, static_cast<std::uint64_t>(f.skipped_frames));
-  put_u64(out, static_cast<std::uint64_t>(f.probe_retries));
-  put_u64(out, static_cast<std::uint64_t>(f.fallback_stock_beams));
-  put_u64(out, static_cast<std::uint64_t>(f.fallback_reflection_beams));
-  put_u64(out, static_cast<std::uint64_t>(f.fallback_tier_drops));
-  put_u64(out, static_cast<std::uint64_t>(f.degraded_user_ticks));
-  put_u64(out, static_cast<std::uint64_t>(f.unhealthy_user_ticks));
-  put_u64(out, static_cast<std::uint64_t>(f.health_transitions));
-  const transport::TransportReport& w = r.transport;
-  put_u64(out, w.trains);
-  put_u64(out, w.tiles);
-  put_u64(out, w.data_packets);
-  put_u64(out, w.parity_packets);
-  put_u64(out, w.lost_packets);
-  put_u64(out, w.retransmitted_packets);
-  put_u64(out, w.nacks);
-  put_u64(out, w.fec_recovered_tiles);
-  put_u64(out, w.nack_recovered_tiles);
-  put_u64(out, w.deadline_missed_tiles);
-  put_f64(out, w.residual_loss_mean);
-  put_f64(out, w.recovery_ms_p50);
-  put_f64(out, w.recovery_ms_p99);
-  put_f64(out, w.recovery_ms_max);
-  const vv::TileReport& t = r.tiles;
-  put_u64(out, t.requests);
-  put_u64(out, t.encoded_tiles);
-  put_u64(out, t.stitched_tiles);
-  put_u64(out, t.encoded_bytes);
-  put_u64(out, t.stitched_bytes);
-  const overload::OverloadReport& o = r.overload;
-  put_u64(out, o.green_ticks);
-  put_u64(out, o.yellow_ticks);
-  put_u64(out, o.orange_ticks);
-  put_u64(out, o.red_ticks);
-  put_u64(out, o.transitions);
-  put_u64(out, o.tier_capped_user_ticks);
-  put_u64(out, o.cells_shed);
-  put_u64(out, o.deferred_tiles);
-  put_f64(out, o.peak_utilization);
-  out.push_back(o.final_level);
+  std::size_t rows(std::string_view,
+                   const std::vector<sim::UserQoe>& users) const {
+    put_u32(out, static_cast<std::uint32_t>(users.size()));
+    return users.size();
+  }
+};
+
+/// Serialized size of a default `R`: a user row, or the smallest result
+/// body (no user rows). Untrusted counts are checked against these floors.
+template <class R>
+std::size_t encoded_size() {
+  std::vector<std::uint8_t> bytes;
+  const R record{};
+  for_each_field(FieldWriter{bytes}, record);
+  return bytes.size();
 }
+
+/// The inverse of FieldWriter, reading from a bounds-checked cursor.
+struct FieldReader {
+  Reader& in;
+
+  template <class T>
+  void operator()(std::string_view, T& field) const {
+    if constexpr (std::is_same_v<T, double>)
+      field = in.f64();
+    else if constexpr (sizeof(T) == 1)
+      field = in.u8();
+    else
+      field = in.u64();
+  }
+  std::size_t rows(std::string_view, std::vector<sim::UserQoe>& users) const {
+    const std::uint32_t count = in.u32();
+    // Reject an absurd count before allocating anything.
+    if (static_cast<std::uint64_t>(count) * encoded_size<sim::UserQoe>() >
+        in.remaining())
+      throw CheckpointError("checkpoint: user count exceeds payload size");
+    users.resize(count);
+    return count;
+  }
+};
 
 SessionResult read_session_result(Reader& in) {
   SessionResult r;
-  r.qoe.duration_s = in.f64();
-  const std::uint32_t users = in.u32();
-  // Each user row is 10 fixed fields of 8 bytes: reject an absurd count
-  // before reserving anything.
-  if (static_cast<std::uint64_t>(users) * 80 > in.remaining())
-    throw CheckpointError("checkpoint: user count exceeds payload size");
-  r.qoe.users.reserve(users);
-  for (std::uint32_t i = 0; i < users; ++i) {
-    sim::UserQoe u;
-    u.user = static_cast<std::size_t>(in.u64());
-    u.displayed_fps = in.f64();
-    u.stall_time_s = in.f64();
-    u.stall_ratio = in.f64();
-    u.mean_quality_tier = in.f64();
-    u.quality_switches = static_cast<std::size_t>(in.u64());
-    u.mean_goodput_mbps = in.f64();
-    u.viewport_miss_ratio = in.f64();
-    u.mean_m2p_latency_s = in.f64();
-    u.max_m2p_latency_s = in.f64();
-    r.qoe.users.push_back(u);
-  }
-  r.multicast_bit_share = in.f64();
-  r.mean_group_size = in.f64();
-  r.custom_beam_uses = static_cast<std::size_t>(in.u64());
-  r.stock_beam_uses = static_cast<std::size_t>(in.u64());
-  r.blockage_forecasts = static_cast<std::size_t>(in.u64());
-  r.reflection_switches = static_cast<std::size_t>(in.u64());
-  r.dropped_ticks = static_cast<std::size_t>(in.u64());
-  r.outage_user_ticks = static_cast<std::size_t>(in.u64());
-  r.sls_sweeps = static_cast<std::size_t>(in.u64());
-  r.sls_outage_ticks = static_cast<std::size_t>(in.u64());
-  r.mean_airtime_utilization = in.f64();
-  fault::FaultReport& f = r.faults;
-  f.faults_injected = static_cast<std::size_t>(in.u64());
-  f.recoveries = static_cast<std::size_t>(in.u64());
-  f.mean_time_to_recover_s = in.f64();
-  f.max_time_to_recover_s = in.f64();
-  f.fault_rebuffer_s = in.f64();
-  f.group_reformations = static_cast<std::size_t>(in.u64());
-  f.concealed_frames = static_cast<std::size_t>(in.u64());
-  f.skipped_frames = static_cast<std::size_t>(in.u64());
-  f.probe_retries = static_cast<std::size_t>(in.u64());
-  f.fallback_stock_beams = static_cast<std::size_t>(in.u64());
-  f.fallback_reflection_beams = static_cast<std::size_t>(in.u64());
-  f.fallback_tier_drops = static_cast<std::size_t>(in.u64());
-  f.degraded_user_ticks = static_cast<std::size_t>(in.u64());
-  f.unhealthy_user_ticks = static_cast<std::size_t>(in.u64());
-  f.health_transitions = static_cast<std::size_t>(in.u64());
-  transport::TransportReport& w = r.transport;
-  w.trains = in.u64();
-  w.tiles = in.u64();
-  w.data_packets = in.u64();
-  w.parity_packets = in.u64();
-  w.lost_packets = in.u64();
-  w.retransmitted_packets = in.u64();
-  w.nacks = in.u64();
-  w.fec_recovered_tiles = in.u64();
-  w.nack_recovered_tiles = in.u64();
-  w.deadline_missed_tiles = in.u64();
-  w.residual_loss_mean = in.f64();
-  w.recovery_ms_p50 = in.f64();
-  w.recovery_ms_p99 = in.f64();
-  w.recovery_ms_max = in.f64();
-  vv::TileReport& t = r.tiles;
-  t.requests = in.u64();
-  t.encoded_tiles = in.u64();
-  t.stitched_tiles = in.u64();
-  t.encoded_bytes = in.u64();
-  t.stitched_bytes = in.u64();
-  overload::OverloadReport& o = r.overload;
-  o.green_ticks = in.u64();
-  o.yellow_ticks = in.u64();
-  o.orange_ticks = in.u64();
-  o.red_ticks = in.u64();
-  o.transitions = in.u64();
-  o.tier_capped_user_ticks = in.u64();
-  o.cells_shed = in.u64();
-  o.deferred_tiles = in.u64();
-  o.peak_utilization = in.f64();
-  o.final_level = in.u8();
-  if (o.final_level > 3)
+  for_each_field(FieldReader{in}, r);
+  if (r.overload.final_level > 3)
     throw CheckpointError("checkpoint: invalid brownout level");
   return r;
 }
@@ -413,7 +324,7 @@ std::vector<std::uint8_t> serialize_checkpoint(
     put_u64(out, rec.outcome.admission_wait_ticks);
     put_str(out, rec.outcome.message);
     std::vector<std::uint8_t> body;
-    put_session_result(body, rec.result);
+    for_each_field(FieldWriter{body}, rec.result);
     put_u32(out, static_cast<std::uint32_t>(body.size()));
     out.insert(out.end(), body.begin(), body.end());
   }
@@ -442,9 +353,12 @@ FleetCheckpoint deserialize_checkpoint(std::span<const std::uint8_t> blob) {
   ckpt.bundle_hash = in.u64();
   ckpt.slot_count = in.u32();
   const std::uint32_t records = in.u32();
-  // Each record needs at least its fixed 47-byte prefix; reject counts the
-  // payload cannot possibly hold before reserving.
-  if (static_cast<std::uint64_t>(records) * 47 > in.remaining())
+  // Each record needs at least its fixed prefix plus a result body with no
+  // user rows; reject counts the payload cannot possibly hold before
+  // reserving.
+  if (static_cast<std::uint64_t>(records) *
+          (kRecordPrefixBytes + encoded_size<SessionResult>()) >
+      in.remaining())
     throw CheckpointError("checkpoint: record count exceeds payload size");
   ckpt.records.reserve(records);
   for (std::uint32_t i = 0; i < records; ++i) {

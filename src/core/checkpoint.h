@@ -51,6 +51,12 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x504b4356u;  // "VCKP"
 //     valid status); the fingerprint now covers the overload and fleet
 //     admission configs.
 inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// checkpoint_checksum of the "name:type;" sequence SessionResult's
+/// for_each_field visits (one user row), pinned by test_checkpoint: a field
+/// added, removed, renamed, retyped or moved must bump kCheckpointVersion
+/// and re-pin this together.
+inline constexpr std::uint64_t kCheckpointSchemaHash =
+    0xf618'4903'caa9'cdd4ULL;
 
 /// Typed rejection of an unusable checkpoint (corrupt, truncated, foreign
 /// version, or produced by a different fleet configuration).

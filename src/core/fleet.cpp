@@ -5,6 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -286,12 +287,11 @@ FleetResult run_fleet_impl(const FleetConfig& config) {
   }
   for (std::size_t k = 0; k < config.sessions; ++k) {
     if (result.outcomes[k].status != SlotStatus::kCompleted) continue;
-    const vv::TileReport& t = result.sessions[k].tiles;
-    result.tiles.requests += t.requests;
-    result.tiles.encoded_tiles += t.encoded_tiles;
-    result.tiles.stitched_tiles += t.stitched_tiles;
-    result.tiles.encoded_bytes += t.encoded_bytes;
-    result.tiles.stitched_bytes += t.stitched_bytes;
+    vv::for_each_field(
+        [](std::string_view, std::uint64_t& sum, std::uint64_t slot) {
+          sum += slot;
+        },
+        result.tiles, result.sessions[k].tiles);
   }
   result.mean_displayed_fps = fps_stats.mean();
   result.mean_stall_ratio = stall_stats.mean();
@@ -316,7 +316,7 @@ FleetResult run_fleet(const FleetConfig& config) {
   // occupancy). With content_seed == 0 each slot streams its own video
   // (seed + k) and nothing is shareable — the legacy path stays. Like the
   // tile cache below, the bundle changes wall clock only, never results.
-  if (effective.share_bundle && effective.session.bundle == nullptr &&
+  if (effective.session.bundle == nullptr &&
       effective.session.content_seed != 0)
     effective.session.bundle = WorkloadBundle::build(effective.session);
   // Encode-once, serve-many across the fleet: when the slots will run the

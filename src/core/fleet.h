@@ -40,15 +40,6 @@ struct FleetConfig {
   /// A user counts as "supported" when its displayed FPS reaches this
   /// floor (the paper's bar for smooth 30 FPS playback).
   double supported_fps_threshold = 29.5;
-  /// Build one shared WorkloadBundle for the whole fleet when the template
-  /// pins the content (content_seed != 0) and doesn't already carry a
-  /// bundle: every slot then reads the same immutable artifact set instead
-  /// of rebuilding its own ~0.3 s of setup. Results are bit-identical
-  /// either way (the bundle holds only pure functions of the workload
-  /// identity), so this knob — like parallel_sessions — is excluded from
-  /// the checkpoint fingerprint; set it false to force the legacy
-  /// per-slot setup path, e.g. for A/B determinism tests.
-  bool share_bundle = true;
 
   /// Retry / deadline policy (defaults disable both; failures are still
   /// caught and recorded rather than aborting the fleet).

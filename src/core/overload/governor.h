@@ -24,6 +24,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/fields.h"
+
 namespace volcast::core::overload {
 
 /// Brownout ladder, in escalation order.
@@ -151,6 +153,21 @@ struct OverloadReport {
   /// Level at the final tick — green proves recovery after pressure ends.
   std::uint8_t final_level = 0;
 };
+
+/// Visits every member in checkpoint order (see common/fields.h).
+template <class V, common::FieldsOf<OverloadReport>... R>
+void for_each_field(V&& v, R&... r) {
+  v("green_ticks", r.green_ticks...);
+  v("yellow_ticks", r.yellow_ticks...);
+  v("orange_ticks", r.orange_ticks...);
+  v("red_ticks", r.red_ticks...);
+  v("transitions", r.transitions...);
+  v("tier_capped_user_ticks", r.tier_capped_user_ticks...);
+  v("cells_shed", r.cells_shed...);
+  v("deferred_tiles", r.deferred_tiles...);
+  v("peak_utilization", r.peak_utilization...);
+  v("final_level", r.final_level...);
+}
 
 /// The brownout state machine. observe() is called once per tick with the
 /// logical load sample; level() and directives() answer for the tick that

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "core/bandwidth_predictor.h"
 #include "core/grouping.h"
 #include "core/overload/governor.h"
@@ -205,7 +206,9 @@ struct SessionConfig {
   void validate() const;
 };
 
-/// Session outcome: per-user QoE plus system-level counters.
+/// Session outcome: per-user QoE plus system-level counters. A new field
+/// goes into the for_each_field below (or its report's own walk) and bumps
+/// kCheckpointVersion in core/checkpoint.h.
 struct SessionResult {
   sim::SessionQoe qoe;
   double multicast_bit_share = 0.0;   // fraction of bits delivered multicast
@@ -238,6 +241,36 @@ struct SessionResult {
   /// the final level (green proves recovery after pressure ends).
   overload::OverloadReport overload;
 };
+
+/// Visits every SessionResult field in checkpoint order (see
+/// common/fields.h): the reports under their section prefixes and the user
+/// rows as a counted sequence. `v.rows(name, users...)` sees the row
+/// vectors first and returns how many rows to walk (the checkpoint reader
+/// resizes them there).
+template <class V, common::FieldsOf<SessionResult>... R>
+void for_each_field(V&& v, R&... r) {
+  v("qoe.duration_s", r.qoe.duration_s...);
+  const std::size_t users = v.rows("qoe.users", r.qoe.users...);
+  for (std::size_t u = 0; u < users; ++u)
+    sim::for_each_field(
+        common::Prefixed{v, "user" + std::to_string(u) + "."},
+        r.qoe.users[u]...);
+  v("multicast_bit_share", r.multicast_bit_share...);
+  v("mean_group_size", r.mean_group_size...);
+  v("custom_beam_uses", r.custom_beam_uses...);
+  v("stock_beam_uses", r.stock_beam_uses...);
+  v("blockage_forecasts", r.blockage_forecasts...);
+  v("reflection_switches", r.reflection_switches...);
+  v("dropped_ticks", r.dropped_ticks...);
+  v("outage_user_ticks", r.outage_user_ticks...);
+  v("sls_sweeps", r.sls_sweeps...);
+  v("sls_outage_ticks", r.sls_outage_ticks...);
+  v("mean_airtime_utilization", r.mean_airtime_utilization...);
+  fault::for_each_field(common::Prefixed{v, "faults."}, r.faults...);
+  transport::for_each_field(common::Prefixed{v, "transport."}, r.transport...);
+  vv::for_each_field(common::Prefixed{v, "tiles."}, r.tiles...);
+  overload::for_each_field(common::Prefixed{v, "overload."}, r.overload...);
+}
 
 /// Runs one configured session; construction precomputes the video store.
 class Session {

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
+
 namespace volcast::fault {
 
 enum class HealthState { kHealthy, kDegraded, kOutage, kRecovering };
@@ -85,5 +87,25 @@ struct FaultReport {
   /// Multi-line human-readable recovery report.
   [[nodiscard]] std::string summary() const;
 };
+
+/// Visits every member in checkpoint order (see common/fields.h).
+template <class V, common::FieldsOf<FaultReport>... R>
+void for_each_field(V&& v, R&... r) {
+  v("faults_injected", r.faults_injected...);
+  v("recoveries", r.recoveries...);
+  v("mean_time_to_recover_s", r.mean_time_to_recover_s...);
+  v("max_time_to_recover_s", r.max_time_to_recover_s...);
+  v("fault_rebuffer_s", r.fault_rebuffer_s...);
+  v("group_reformations", r.group_reformations...);
+  v("concealed_frames", r.concealed_frames...);
+  v("skipped_frames", r.skipped_frames...);
+  v("probe_retries", r.probe_retries...);
+  v("fallback_stock_beams", r.fallback_stock_beams...);
+  v("fallback_reflection_beams", r.fallback_reflection_beams...);
+  v("fallback_tier_drops", r.fallback_tier_drops...);
+  v("degraded_user_ticks", r.degraded_user_ticks...);
+  v("unhealthy_user_ticks", r.unhealthy_user_ticks...);
+  v("health_transitions", r.health_transitions...);
+}
 
 }  // namespace volcast::fault

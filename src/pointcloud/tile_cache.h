@@ -39,6 +39,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.h"
+
 namespace volcast::vv {
 
 /// Identity of one encoded tile. `content` fingerprints the video the tile
@@ -111,6 +113,16 @@ struct TileReport {
   std::uint64_t encoded_bytes = 0;   // bytes the session had to encode
   std::uint64_t stitched_bytes = 0;  // encode bytes saved by stitching
 };
+
+/// Visits every member in checkpoint order (see common/fields.h).
+template <class V, common::FieldsOf<TileReport>... R>
+void for_each_field(V&& v, R&... r) {
+  v("requests", r.requests...);
+  v("encoded_tiles", r.encoded_tiles...);
+  v("stitched_tiles", r.stitched_tiles...);
+  v("encoded_bytes", r.encoded_bytes...);
+  v("stitched_bytes", r.stitched_bytes...);
+}
 
 /// Thread-safe content-addressed tile store with bounded capacity and
 /// deterministic FIFO (insertion-order) eviction. One mutex guards the

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/stats.h"
 
 namespace volcast::sim {
@@ -27,6 +28,21 @@ struct UserQoe {
   double mean_m2p_latency_s = 0.0;
   double max_m2p_latency_s = 0.0;
 };
+
+/// Visits every member in checkpoint order (see common/fields.h).
+template <class V, common::FieldsOf<UserQoe>... R>
+void for_each_field(V&& v, R&... r) {
+  v("user", r.user...);
+  v("displayed_fps", r.displayed_fps...);
+  v("stall_time_s", r.stall_time_s...);
+  v("stall_ratio", r.stall_ratio...);
+  v("mean_quality_tier", r.mean_quality_tier...);
+  v("quality_switches", r.quality_switches...);
+  v("mean_goodput_mbps", r.mean_goodput_mbps...);
+  v("viewport_miss_ratio", r.viewport_miss_ratio...);
+  v("mean_m2p_latency_s", r.mean_m2p_latency_s...);
+  v("max_m2p_latency_s", r.max_m2p_latency_s...);
+}
 
 /// Whole-session outcome with convenience aggregates.
 struct SessionQoe {

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
+
 namespace volcast::transport {
 
 /// Which recovery machinery the wire runs. kGoodput is the legacy
@@ -131,6 +133,25 @@ struct TransportReport {
   /// Accumulates one train (does not touch the latency percentiles).
   void add(const TrainResult& train) noexcept;
 };
+
+/// Visits every member in checkpoint order (see common/fields.h).
+template <class V, common::FieldsOf<TransportReport>... R>
+void for_each_field(V&& v, R&... r) {
+  v("trains", r.trains...);
+  v("tiles", r.tiles...);
+  v("data_packets", r.data_packets...);
+  v("parity_packets", r.parity_packets...);
+  v("lost_packets", r.lost_packets...);
+  v("retransmitted_packets", r.retransmitted_packets...);
+  v("nacks", r.nacks...);
+  v("fec_recovered_tiles", r.fec_recovered_tiles...);
+  v("nack_recovered_tiles", r.nack_recovered_tiles...);
+  v("deadline_missed_tiles", r.deadline_missed_tiles...);
+  v("residual_loss_mean", r.residual_loss_mean...);
+  v("recovery_ms_p50", r.recovery_ms_p50...);
+  v("recovery_ms_p99", r.recovery_ms_p99...);
+  v("recovery_ms_max", r.recovery_ms_max...);
+}
 
 /// Simulates one packet train end to end: segmentation, per-packet loss
 /// draws, FEC repair, NACK rounds within the deadline. Advances `rx`

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/endian.h"
@@ -30,17 +32,19 @@ FleetConfig tiny_fleet(std::size_t sessions) {
   return fc;
 }
 
-/// An irregular SessionResult exercising every serialized field.
+/// An irregular SessionResult giving every serialized field a distinct
+/// nonzero value, set by member name, so a write/read pair that lands a
+/// member at the wrong offset breaks the round trip and the pinned checksum.
 SessionResult sample_result(std::uint64_t salt) {
   SessionResult r;
   r.qoe.duration_s = 0.5 + static_cast<double>(salt);
   sim::UserQoe u;
-  u.user = salt;
+  u.user = salt + 60;
   u.displayed_fps = 29.972 + static_cast<double>(salt) * 0.125;
   u.stall_time_s = 0.0625;
   u.stall_ratio = 0.125;
   u.mean_quality_tier = 1.5;
-  u.quality_switches = 3 + salt;
+  u.quality_switches = salt + 70;
   u.mean_goodput_mbps = 431.73;
   u.viewport_miss_ratio = 0.031;
   u.mean_m2p_latency_s = 0.021;
@@ -51,38 +55,57 @@ SessionResult sample_result(std::uint64_t salt) {
   r.qoe.users.push_back(u);
   r.multicast_bit_share = 0.625;
   r.mean_group_size = 1.75;
-  r.custom_beam_uses = 11 + salt;
+  r.custom_beam_uses = salt + 80;
   r.stock_beam_uses = 5;
   r.blockage_forecasts = 2;
   r.reflection_switches = 1;
   r.dropped_ticks = 4;
   r.outage_user_ticks = 9;
   r.sls_sweeps = 6;
-  r.sls_outage_ticks = 3;
+  r.sls_outage_ticks = 8;
   r.mean_airtime_utilization = 0.4375;
-  r.faults.faults_injected = 2;
-  r.faults.recoveries = 1;
+  r.faults.faults_injected = 14;
+  r.faults.recoveries = 15;
   r.faults.mean_time_to_recover_s = 0.75;
   r.faults.max_time_to_recover_s = 1.25;
   r.faults.fault_rebuffer_s = 0.21;
-  r.faults.group_reformations = 1;
-  r.faults.concealed_frames = 7;
-  r.faults.skipped_frames = 2;
-  r.faults.probe_retries = 3;
-  r.faults.fallback_stock_beams = 1;
-  r.faults.fallback_reflection_beams = 1;
-  r.faults.fallback_tier_drops = 2;
-  r.faults.degraded_user_ticks = 13;
-  r.faults.unhealthy_user_ticks = 4;
-  r.faults.health_transitions = 5;
+  r.faults.group_reformations = 16;
+  r.faults.concealed_frames = 17;
+  r.faults.skipped_frames = 18;
+  r.faults.probe_retries = 19;
+  r.faults.fallback_stock_beams = 20;
+  r.faults.fallback_reflection_beams = 21;
+  r.faults.fallback_tier_drops = 22;
+  r.faults.degraded_user_ticks = 23;
+  r.faults.unhealthy_user_ticks = 24;
+  r.faults.health_transitions = 25;
+  r.transport.trains = 37;
+  r.transport.tiles = 412;
+  r.transport.data_packets = 5123;
+  r.transport.parity_packets = 611;
+  r.transport.lost_packets = 97;
+  r.transport.retransmitted_packets = 83;
+  r.transport.nacks = 29;
+  r.transport.fec_recovered_tiles = 41;
+  r.transport.nack_recovered_tiles = 43;
+  r.transport.deadline_missed_tiles = 47;
+  r.transport.residual_loss_mean = 0.0123;
+  r.transport.recovery_ms_p50 = 3.5;
+  r.transport.recovery_ms_p99 = 7.25;
+  r.transport.recovery_ms_max = 9.875;
+  r.tiles.requests = 9001 + salt;
+  r.tiles.encoded_tiles = 1201;
+  r.tiles.stitched_tiles = 7800;
+  r.tiles.encoded_bytes = 19'660'800;
+  r.tiles.stitched_bytes = 127'795'200;
   r.overload.green_ticks = 40 + salt;
-  r.overload.yellow_ticks = 12;
-  r.overload.orange_ticks = 5;
-  r.overload.red_ticks = 2;
-  r.overload.transitions = 6;
+  r.overload.yellow_ticks = 52;
+  r.overload.orange_ticks = 53;
+  r.overload.red_ticks = 54;
+  r.overload.transitions = 56;
   r.overload.tier_capped_user_ticks = 31;
   r.overload.cells_shed = 450;
-  r.overload.deferred_tiles = 17;
+  r.overload.deferred_tiles = 57;
   r.overload.peak_utilization = 1.3125;
   r.overload.final_level = 1;
   return r;
@@ -140,7 +163,48 @@ TEST(Checkpoint, SerializeDeserializeRoundTripsBitExactly) {
     EXPECT_EQ(back.records[i].slot, ckpt.records[i].slot);
     expect_outcome_identical(back.records[i].outcome, ckpt.records[i].outcome);
     expect_identical(back.records[i].result, ckpt.records[i].result);
+    expect_tiles_identical(back.records[i].result, ckpt.records[i].result);
   }
+}
+
+TEST(Checkpoint, SampleCheckpointBytesArePinned) {
+  // Recorded from the v5 serializer that listed every field by hand: any
+  // change to the order, width or encoding of a stored field moves it.
+  EXPECT_EQ(checkpoint_checksum(serialize_checkpoint(sample_checkpoint())),
+            0xaaaa'ea06'7e16'7ea5ULL)
+      << "the v5 checkpoint layout changed; old files would misload";
+}
+
+/// Spells each visited field as "name:type;" with its stored width.
+struct SchemaText {
+  std::string text;
+
+  template <class T>
+  void operator()(std::string_view name, const T&) {
+    text += std::string(name) +
+            (std::is_floating_point_v<T> ? ":f64;"
+             : sizeof(T) == 1            ? ":u8;"
+                                         : ":u64;");
+  }
+  std::size_t rows(std::string_view name,
+                   const std::vector<sim::UserQoe>& users) {
+    text += std::string(name) + ":u32;";
+    return users.size();
+  }
+};
+
+TEST(Checkpoint, ResultSchemaMatchesTheCheckpointVersion) {
+  SessionResult r;
+  r.qoe.users.resize(1);
+  SchemaText schema;
+  for_each_field(schema, r);
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(schema.text.data()),
+      schema.text.size());
+  EXPECT_EQ(checkpoint_checksum(bytes), kCheckpointSchemaHash)
+      << "SessionResult's field list changed: bump kCheckpointVersion and "
+         "re-pin kCheckpointSchemaHash\n"
+      << schema.text;
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsThroughAFile) {
@@ -196,6 +260,16 @@ std::vector<std::uint8_t> resealed(std::vector<std::uint8_t> blob,
   return blob;
 }
 
+/// The CheckpointError message `blob` is rejected with ("" if it loads).
+std::string load_error(const std::vector<std::uint8_t>& blob) {
+  try {
+    (void)deserialize_checkpoint(blob);
+  } catch (const CheckpointError& err) {
+    return err.what();
+  }
+  return "";
+}
+
 TEST(Checkpoint, BoundsChecksHoldEvenWithAValidChecksum) {
   const std::vector<std::uint8_t> blob =
       serialize_checkpoint(sample_checkpoint());
@@ -215,6 +289,25 @@ TEST(Checkpoint, BoundsChecksHoldEvenWithAValidChecksum) {
   // Invalid status enumerator (offset 36).
   EXPECT_THROW((void)deserialize_checkpoint(resealed(blob, 36, 0x9)),
                CheckpointError);
+
+  // A record count just above what the payload can hold at the smallest
+  // record (fixed prefix + a result body with no user rows) is rejected by
+  // the count guard itself; at that bound the guard lets it through.
+  FleetCheckpoint one;
+  one.slot_count = 1;
+  one.records.emplace_back();
+  const std::size_t header_and_checksum = 32 + 8;
+  const std::size_t min_record =
+      serialize_checkpoint(one).size() - header_and_checksum;
+  const std::size_t fits = (blob.size() - header_and_checksum) / min_record;
+  ASSERT_LT(fits + 1, 256u);
+  const std::string above =
+      load_error(resealed(blob, 28, static_cast<std::uint8_t>(fits + 1)));
+  EXPECT_NE(above.find("record count exceeds"), std::string::npos) << above;
+  const std::string at =
+      load_error(resealed(blob, 28, static_cast<std::uint8_t>(fits)));
+  EXPECT_FALSE(at.empty());
+  EXPECT_EQ(at.find("record count exceeds"), std::string::npos) << at;
 }
 
 TEST(Checkpoint, FingerprintCoversWorkloadButNotParallelism) {

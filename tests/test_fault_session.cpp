@@ -3,8 +3,11 @@
 // recovery metrics that reproduce bit-identically per (config, plan, seed).
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "core/session.h"
 #include "fault/fault_plan.h"
+#include "session_compare.h"
 
 namespace volcast::core {
 namespace {
@@ -55,7 +58,7 @@ TEST(FaultSession, SurvivesApOutageAndChurnWithRecoveryMetrics) {
 }
 
 // Determinism regression: identical (config, plan, seed) => identical
-// recovery counters and identical per-user QoE.
+// SessionResult, recovery counters and per-user QoE included.
 TEST(FaultSession, DeterministicPerConfigPlanSeed) {
   SessionConfig c = fast_config();
   c.ap_count = 2;
@@ -73,52 +76,17 @@ TEST(FaultSession, DeterministicPerConfigPlanSeed) {
   const SessionResult a = Session(c).run();
   const SessionResult b = Session(c).run();
 
-  EXPECT_EQ(a.faults.faults_injected, b.faults.faults_injected);
-  EXPECT_EQ(a.faults.recoveries, b.faults.recoveries);
-  EXPECT_DOUBLE_EQ(a.faults.mean_time_to_recover_s,
-                   b.faults.mean_time_to_recover_s);
-  EXPECT_DOUBLE_EQ(a.faults.max_time_to_recover_s,
-                   b.faults.max_time_to_recover_s);
-  EXPECT_DOUBLE_EQ(a.faults.fault_rebuffer_s, b.faults.fault_rebuffer_s);
-  EXPECT_EQ(a.faults.group_reformations, b.faults.group_reformations);
-  EXPECT_EQ(a.faults.concealed_frames, b.faults.concealed_frames);
-  EXPECT_EQ(a.faults.skipped_frames, b.faults.skipped_frames);
-  EXPECT_EQ(a.faults.probe_retries, b.faults.probe_retries);
-  EXPECT_EQ(a.faults.fallback_stock_beams, b.faults.fallback_stock_beams);
-  EXPECT_EQ(a.faults.fallback_reflection_beams,
-            b.faults.fallback_reflection_beams);
-  EXPECT_EQ(a.faults.fallback_tier_drops, b.faults.fallback_tier_drops);
-  EXPECT_EQ(a.faults.degraded_user_ticks, b.faults.degraded_user_ticks);
-  EXPECT_EQ(a.faults.unhealthy_user_ticks, b.faults.unhealthy_user_ticks);
-  EXPECT_EQ(a.faults.health_transitions, b.faults.health_transitions);
-  ASSERT_EQ(a.qoe.users.size(), b.qoe.users.size());
-  for (std::size_t u = 0; u < a.qoe.users.size(); ++u) {
-    EXPECT_DOUBLE_EQ(a.qoe.users[u].displayed_fps,
-                     b.qoe.users[u].displayed_fps);
-    EXPECT_DOUBLE_EQ(a.qoe.users[u].stall_time_s, b.qoe.users[u].stall_time_s);
-    EXPECT_DOUBLE_EQ(a.qoe.users[u].mean_goodput_mbps,
-                     b.qoe.users[u].mean_goodput_mbps);
-  }
+  expect_identical(a, b);
+  expect_tiles_identical(a, b);
 }
 
 // The no-fault baseline must be untouched by the fault machinery: every
 // recovery counter stays zero and QoE matches a config without the fields.
 TEST(FaultSession, EmptyPlanLeavesMetricsZero) {
   const SessionResult result = Session(fast_config()).run();
-  EXPECT_EQ(result.faults.faults_injected, 0u);
-  EXPECT_EQ(result.faults.recoveries, 0u);
-  EXPECT_DOUBLE_EQ(result.faults.mean_time_to_recover_s, 0.0);
-  EXPECT_DOUBLE_EQ(result.faults.fault_rebuffer_s, 0.0);
-  EXPECT_EQ(result.faults.group_reformations, 0u);
-  EXPECT_EQ(result.faults.concealed_frames, 0u);
-  EXPECT_EQ(result.faults.skipped_frames, 0u);
-  EXPECT_EQ(result.faults.probe_retries, 0u);
-  EXPECT_EQ(result.faults.fallback_stock_beams, 0u);
-  EXPECT_EQ(result.faults.fallback_reflection_beams, 0u);
-  EXPECT_EQ(result.faults.fallback_tier_drops, 0u);
-  EXPECT_EQ(result.faults.degraded_user_ticks, 0u);
-  EXPECT_EQ(result.faults.unhealthy_user_ticks, 0u);
-  EXPECT_EQ(result.faults.health_transitions, 0u);
+  fault::for_each_field(
+      [](std::string_view name, const auto& v) { EXPECT_EQ(v, 0) << name; },
+      result.faults);
 }
 
 TEST(FaultSession, FrameLossIsConcealedByThePlayer) {

@@ -123,13 +123,6 @@ TEST(Fleet, RetryAndQuarantineNeverRebuildTheSharedBundle) {
   for (const SlotOutcome& o : fleet.outcomes) attempts += o.attempts;
   EXPECT_GT(attempts, fc.sessions)
       << "crash plan drew no crashes; pick a different seed";
-
-  // Same fleet without sharing pays one build per attempt: the delta is
-  // the amortization the bundle exists for.
-  fc.share_bundle = false;
-  const std::uint64_t legacy_before = WorkloadBundle::builds_total();
-  expect_fleet_identical(fleet, run_fleet(fc));
-  EXPECT_EQ(WorkloadBundle::builds_total() - legacy_before, attempts);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "core/checkpoint.h"
 #include "core/fleet.h"
@@ -251,17 +252,17 @@ TEST(FleetTileCache, SlotsShareContentAndAggregateTiles) {
   vv::TileReport sum;
   for (const core::SessionResult& s : fleet.sessions) {
     EXPECT_GT(s.tiles.stitched_tiles, 0u);
-    sum.requests += s.tiles.requests;
-    sum.encoded_tiles += s.tiles.encoded_tiles;
-    sum.stitched_tiles += s.tiles.stitched_tiles;
-    sum.encoded_bytes += s.tiles.encoded_bytes;
-    sum.stitched_bytes += s.tiles.stitched_bytes;
+    vv::for_each_field(
+        [](std::string_view, std::uint64_t& total, std::uint64_t slot) {
+          total += slot;
+        },
+        sum, s.tiles);
   }
-  EXPECT_EQ(fleet.tiles.requests, sum.requests);
-  EXPECT_EQ(fleet.tiles.encoded_tiles, sum.encoded_tiles);
-  EXPECT_EQ(fleet.tiles.stitched_tiles, sum.stitched_tiles);
-  EXPECT_EQ(fleet.tiles.encoded_bytes, sum.encoded_bytes);
-  EXPECT_EQ(fleet.tiles.stitched_bytes, sum.stitched_bytes);
+  vv::for_each_field(
+      [](std::string_view name, std::uint64_t got, std::uint64_t want) {
+        EXPECT_EQ(got, want) << name;
+      },
+      fleet.tiles, sum);
 }
 
 TEST(FleetTileCache, KillAndResumeWithSharedCacheIsBitIdentical) {
