@@ -11,11 +11,9 @@
 // tables. The WorkloadBundle hoists them into a single reference-counted,
 // frozen artifact set built once per fleet and read concurrently by every
 // slot — the same encode-once/serve-many amortization the tile cache
-// applies to the wire, applied to the setup path. The store build itself
-// runs in the structure-of-arrays frame layout (vv::FrameSoA; DESIGN.md
-// §11), so what the bundle shares read-only was produced by the
-// vectorizable column pipeline — with tables bit-identical to the AoS
-// path by the SoA exactness contract.
+// applies to the wire, applied to the setup path. The store build runs on
+// vv::FrameSoA columns (DESIGN.md §11); its tables are pinned by the
+// session goldens.
 //
 // Ownership / copy-on-write rules:
 //  * The bundle is built (or installed) while unfrozen, then freeze()d.

@@ -15,11 +15,9 @@ namespace volcast::vv {
 /// Index of a cell within a CellGrid (linear, row-major x-fastest).
 using CellId = std::uint32_t;
 
-/// CSR-style point bucketing: one flat index array plus per-cell offsets.
-/// Equivalent to assign()'s vector-of-vectors (same indices, same ascending
-/// order within each cell) but built with a counting sort over contiguous
-/// arrays — no per-cell allocations, and the store's per-cell gather reads
-/// one contiguous slice.
+/// CSR-style point bucketing: one flat index array plus per-cell offsets,
+/// built with a counting sort over contiguous arrays — no per-cell
+/// allocations, and the store's per-cell gather reads one contiguous slice.
 struct FlatAssignment {
   /// offsets.size() == cell_count() + 1; cell c's indices live at
   /// indices[offsets[c] .. offsets[c + 1]).
@@ -65,30 +63,20 @@ class CellGrid {
   [[nodiscard]] geo::Vec3 cell_center(CellId id) const;
 
   /// Cell containing `p`; points on the outer boundary are clamped into the
-  /// closest edge cell so every content point maps somewhere.
+  /// closest edge cell so every content point maps somewhere. The one-point
+  /// definition the batch kernels below must match exactly.
   [[nodiscard]] CellId locate(const geo::Vec3& p) const noexcept;
 
-  /// Buckets every point of `cloud` by containing cell.
-  /// Result has cell_count() entries; entry c lists indices into
-  /// cloud.points().
-  [[nodiscard]] std::vector<std::vector<std::uint32_t>> assign(
-      const PointCloud& cloud) const;
-
-  /// Per-cell point counts only (cheaper than assign()).
-  [[nodiscard]] std::vector<std::uint32_t> occupancy(
-      const PointCloud& cloud) const;
-
-  /// SoA form of locate() over a whole frame: ids[i] = locate(position i).
-  /// Runs three per-axis clamp loops over the contiguous columns before the
-  /// index combine, instead of striding Point records.
+  /// locate() over a whole frame: ids[i] = locate(frame.position(i)). Runs
+  /// three per-axis clamp loops over the contiguous columns before the
+  /// index combine.
   [[nodiscard]] std::vector<CellId> locate_batch(const FrameSoA& frame) const;
 
-  /// Counting-sort bucketing of a SoA frame; same contents and per-cell
-  /// order as assign() on the equivalent AoS cloud.
+  /// Counting-sort bucketing of a frame by containing cell: cell c lists
+  /// the indices i with locate(frame.position(i)) == c, ascending.
   [[nodiscard]] FlatAssignment assign_flat(const FrameSoA& frame) const;
 
-  /// Per-cell point counts of a SoA frame; identical to occupancy() on the
-  /// equivalent AoS cloud.
+  /// Per-cell point counts of a frame (cheaper than assign_flat()).
   [[nodiscard]] std::vector<std::uint32_t> occupancy(
       const FrameSoA& frame) const;
 

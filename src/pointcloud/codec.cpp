@@ -124,9 +124,7 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
 
   // Split per-axis quantization over the coordinate columns: each loop is
   // a straight-line round/clamp chain over one contiguous double array
-  // (round + min/max map to vector instructions), where the AoS form
-  // strided through 27-byte Point records quantizing three interleaved
-  // axes at once.
+  // (round + min/max map to vector instructions).
   auto quantize_column = [max_q](std::span<const double> v, double lo,
                                  double len, std::uint32_t* q) {
     const std::size_t count = v.size();
@@ -186,13 +184,6 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
   const std::vector<std::uint8_t> payload = enc.finish();
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
-}
-
-std::vector<std::uint8_t> encode(const PointCloud& cloud,
-                                 const CodecConfig& config) {
-  // The conversion is exact (same doubles, same bytes, same order), so this
-  // wrapper is byte-identical to the pre-SoA AoS encoder.
-  return encode(FrameSoA::from_aos(cloud), config);
 }
 
 FrameSoA decode_soa(std::span<const std::uint8_t> data) {
@@ -275,10 +266,6 @@ FrameSoA decode_soa(std::span<const std::uint8_t> data) {
 
   return FrameSoA::from_columns(std::move(x), std::move(y), std::move(z),
                                 std::move(rgb));
-}
-
-PointCloud decode(std::span<const std::uint8_t> data) {
-  return decode_soa(data).to_aos();
 }
 
 }  // namespace volcast::vv

@@ -90,14 +90,13 @@ struct Voxel {
 
 }  // namespace
 
-std::vector<std::uint8_t> octree_encode(const PointCloud& cloud,
+std::vector<std::uint8_t> octree_encode(const FrameSoA& frame,
                                         const OctreeCodecConfig& config) {
   if (config.depth == 0 || config.depth > kMaxDepth)
     throw std::invalid_argument("octree codec: depth out of range [1, 16]");
 
-  const geo::Aabb bounds = cloud.bounds();
   const geo::Aabb stored =
-      cloud.empty() ? geo::Aabb{{0, 0, 0}, {0, 0, 0}} : bounds;
+      frame.empty() ? geo::Aabb{{0, 0, 0}, {0, 0, 0}} : frame.bounds();
 
   // Voxelize: quantize into the cubic 2^depth grid, merge duplicates,
   // average colors.
@@ -109,13 +108,17 @@ std::vector<std::uint8_t> octree_encode(const PointCloud& cloud,
     return static_cast<std::uint32_t>(std::clamp(q, 0.0, max_q));
   };
 
+  const std::span<const double> xs = frame.xs();
+  const std::span<const double> ys = frame.ys();
+  const std::span<const double> zs = frame.zs();
+  const std::span<const std::uint8_t> rgb = frame.rgb();
   std::vector<Voxel> voxels;
-  voxels.reserve(cloud.size());
-  for (const Point& p : cloud.points()) {
-    const auto code = geo::morton_encode(quantize(p.position.x, stored.lo.x),
-                                         quantize(p.position.y, stored.lo.y),
-                                         quantize(p.position.z, stored.lo.z));
-    voxels.push_back({code, p.r, p.g, p.b, 1});
+  voxels.reserve(frame.size());
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const auto code = geo::morton_encode(quantize(xs[i], stored.lo.x),
+                                         quantize(ys[i], stored.lo.y),
+                                         quantize(zs[i], stored.lo.z));
+    voxels.push_back({code, rgb[3 * i], rgb[3 * i + 1], rgb[3 * i + 2], 1});
   }
   std::sort(voxels.begin(), voxels.end(),
             [](const Voxel& a, const Voxel& b) { return a.code < b.code; });
@@ -153,18 +156,18 @@ std::vector<std::uint8_t> octree_encode(const PointCloud& cloud,
 
   // Depth-first over the implicit octree: a node is a contiguous range of
   // the Morton-sorted voxels sharing a code prefix.
-  struct Frame {
+  struct Node {
     std::size_t begin, end;
     unsigned level;  // 0 = root
   };
-  std::vector<Frame> stack{{0, voxels.size(), 0}};
+  std::vector<Node> stack{{0, voxels.size(), 0}};
   const unsigned depth = config.depth;
   while (!stack.empty()) {
-    const Frame frame = stack.back();
+    const Node node = stack.back();
     stack.pop_back();
-    if (frame.level == depth) {
+    if (node.level == depth) {
       if (config.encode_colors) {
-        const Voxel& v = voxels[frame.begin];
+        const Voxel& v = voxels[node.begin];
         colors.encode(enc, {static_cast<std::uint8_t>(v.r_sum / v.count),
                             static_cast<std::uint8_t>(v.g_sum / v.count),
                             static_cast<std::uint8_t>(v.b_sum / v.count)});
@@ -172,12 +175,12 @@ std::vector<std::uint8_t> octree_encode(const PointCloud& cloud,
       continue;
     }
     // Partition the range by the 3-bit child index at this level.
-    const unsigned shift = 3 * (depth - 1 - frame.level);
+    const unsigned shift = 3 * (depth - 1 - node.level);
     std::array<std::size_t, 9> edges{};
-    edges[0] = frame.begin;
-    std::size_t pos = frame.begin;
+    edges[0] = node.begin;
+    std::size_t pos = node.begin;
     for (unsigned child = 0; child < 8; ++child) {
-      while (pos < frame.end &&
+      while (pos < node.end &&
              ((voxels[pos].code >> shift) & 7u) == child)
         ++pos;
       edges[child + 1] = pos;
@@ -185,12 +188,12 @@ std::vector<std::uint8_t> octree_encode(const PointCloud& cloud,
     // Emit the occupancy mask, then push occupied children in reverse so
     // the DFS visits them in ascending Morton order.
     for (unsigned child = 0; child < 8; ++child) {
-      enc.encode_bit(occupancy.at(frame.level, child),
+      enc.encode_bit(occupancy.at(node.level, child),
                      edges[child + 1] > edges[child]);
     }
     for (unsigned child = 8; child-- > 0;) {
       if (edges[child + 1] > edges[child])
-        stack.push_back({edges[child], edges[child + 1], frame.level + 1});
+        stack.push_back({edges[child], edges[child + 1], node.level + 1});
     }
   }
   const auto payload = enc.finish();
@@ -198,7 +201,7 @@ std::vector<std::uint8_t> octree_encode(const PointCloud& cloud,
   return out;
 }
 
-PointCloud octree_decode(std::span<const std::uint8_t> data) {
+FrameSoA octree_decode(std::span<const std::uint8_t> data) {
   if (data.size() < kHeaderBytes ||
       !std::equal(kMagic.begin(), kMagic.end(), data.begin()))
     throw std::runtime_error("octree codec: bad header");
@@ -213,9 +216,7 @@ PointCloud octree_decode(std::span<const std::uint8_t> data) {
   bounds.lo = {get_f64(data, 10), get_f64(data, 18), get_f64(data, 26)};
   bounds.hi = {get_f64(data, 34), get_f64(data, 42), get_f64(data, 50)};
 
-  PointCloud cloud;
-  cloud.reserve(voxel_count);
-  if (voxel_count == 0) return cloud;
+  if (voxel_count == 0) return {};
 
   const double max_q = static_cast<double>((1u << depth) - 1);
   const geo::Vec3 extent = bounds.extent();
@@ -229,40 +230,44 @@ PointCloud octree_decode(std::span<const std::uint8_t> data) {
   OccupancyModels occupancy;
   ColorCoder colors;
 
-  struct Frame {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> z;
+  std::vector<std::uint8_t> rgb;
+  x.reserve(voxel_count);
+  y.reserve(voxel_count);
+  z.reserve(voxel_count);
+  rgb.reserve(3 * std::size_t{voxel_count});
+
+  struct Node {
     std::uint64_t prefix;
     unsigned level;
   };
-  std::vector<Frame> stack{{0, 0}};
-  while (!stack.empty() && cloud.size() < voxel_count) {
-    const Frame frame = stack.back();
+  std::vector<Node> stack{{0, 0}};
+  while (!stack.empty() && x.size() < voxel_count) {
+    const Node node = stack.back();
     stack.pop_back();
-    if (frame.level == depth) {
-      const auto coords = geo::morton_decode(frame.prefix);
-      Point p;
-      p.position = {voxel_center(coords.x, bounds.lo.x),
-                    voxel_center(coords.y, bounds.lo.y),
-                    voxel_center(coords.z, bounds.lo.z)};
-      if (has_colors) {
-        const auto c = colors.decode(dec);
-        p.r = c[0];
-        p.g = c[1];
-        p.b = c[2];
-      } else {
-        p.r = p.g = p.b = 128;
-      }
-      cloud.add(p);
+    if (node.level == depth) {
+      const auto coords = geo::morton_decode(node.prefix);
+      x.push_back(voxel_center(coords.x, bounds.lo.x));
+      y.push_back(voxel_center(coords.y, bounds.lo.y));
+      z.push_back(voxel_center(coords.z, bounds.lo.z));
+      const std::array<std::uint8_t, 3> c =
+          has_colors ? colors.decode(dec)
+                     : std::array<std::uint8_t, 3>{128, 128, 128};
+      rgb.insert(rgb.end(), c.begin(), c.end());
       continue;
     }
     std::array<bool, 8> mask{};
     for (unsigned child = 0; child < 8; ++child)
-      mask[child] = dec.decode_bit(occupancy.at(frame.level, child));
+      mask[child] = dec.decode_bit(occupancy.at(node.level, child));
     for (unsigned child = 8; child-- > 0;) {
       if (mask[child])
-        stack.push_back({(frame.prefix << 3) | child, frame.level + 1});
+        stack.push_back({(node.prefix << 3) | child, node.level + 1});
     }
   }
-  return cloud;
+  return FrameSoA::from_columns(std::move(x), std::move(y), std::move(z),
+                                std::move(rgb));
 }
 
 std::size_t octree_voxel_count(std::span<const std::uint8_t> data) {

@@ -30,15 +30,15 @@ struct OctreeCodecConfig {
   bool encode_colors = true;
 };
 
-/// Encodes a cloud as an octree occupancy stream. Empty clouds are valid.
+/// Encodes a frame as an octree occupancy stream. Empty frames are valid.
 /// Throws std::invalid_argument for an out-of-range depth.
 [[nodiscard]] std::vector<std::uint8_t> octree_encode(
-    const PointCloud& cloud, const OctreeCodecConfig& config = {});
+    const FrameSoA& frame, const OctreeCodecConfig& config = {});
 
 /// Decodes a stream produced by octree_encode: one point per occupied
 /// voxel, positioned at the voxel center. Throws std::runtime_error on a
 /// malformed header.
-[[nodiscard]] PointCloud octree_decode(std::span<const std::uint8_t> data);
+[[nodiscard]] FrameSoA octree_decode(std::span<const std::uint8_t> data);
 
 /// Number of occupied voxels the encoded stream holds (reads the header).
 [[nodiscard]] std::size_t octree_voxel_count(

@@ -90,10 +90,6 @@ VideoGenerator::VideoGenerator(VideoConfig config) : config_(config) {
   }
 }
 
-PointCloud VideoGenerator::frame(std::size_t index) const {
-  return frame_soa(index).to_aos();
-}
-
 FrameSoA VideoGenerator::frame_soa(std::size_t index) const {
   const std::size_t wrapped =
       config_.frame_count > 0 ? index % config_.frame_count : index;
@@ -135,23 +131,6 @@ geo::Vec3 VideoGenerator::content_center() const noexcept {
   return {0.0, 0.0, 1.1};
 }
 
-PointCloud thin(const PointCloud& cloud, double fraction) {
-  if (fraction >= 1.0) return cloud;
-  PointCloud out;
-  if (fraction <= 0.0) return out;
-  const auto threshold = static_cast<std::uint32_t>(
-      fraction * 4294967296.0);
-  out.reserve(static_cast<std::size_t>(
-      fraction * static_cast<double>(cloud.size())));
-  const auto& pts = cloud.points();
-  for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    // Knuth multiplicative hash of the index: stable, order-free thinning.
-    const std::uint32_t h = i * 2654435761u;
-    if (h < threshold) out.add(pts[i]);
-  }
-  return out;
-}
-
 FrameSoA thin(const FrameSoA& frame, double fraction) {
   if (fraction >= 1.0) return frame;
   FrameSoA out;
@@ -162,6 +141,7 @@ FrameSoA thin(const FrameSoA& frame, double fraction) {
       fraction * static_cast<double>(frame.size())));
   const std::span<const std::uint8_t> rgb = frame.rgb();
   for (std::uint32_t i = 0; i < frame.size(); ++i) {
+    // Knuth multiplicative hash of the index: stable, order-free thinning.
     const std::uint32_t h = i * 2654435761u;
     if (h < threshold)
       out.push_back(frame.position(i), rgb[3 * i], rgb[3 * i + 1],

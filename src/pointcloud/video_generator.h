@@ -29,13 +29,13 @@ struct VideoConfig {
   double yaw_amplitude_rad = 0.5;
 };
 
-/// Deterministic articulated-figure video. `frame(i)` is a pure function of
-/// (config, i): the same index always yields the same cloud, so streaming
+/// Deterministic articulated-figure video. `frame_soa(i)` is a pure function
+/// of (config, i): the same index always yields the same frame, so streaming
 /// components can regenerate frames instead of buffering them.
 ///
-/// Thread safety: the generator holds only its (const) config, so frame()
-/// and every other member may be called concurrently without locking —
-/// sessions sharing one core::WorkloadBundle do exactly that.
+/// Thread safety: the generator holds only its (const) config, so
+/// frame_soa() and every other member may be called concurrently without
+/// locking — sessions sharing one core::WorkloadBundle do exactly that.
 class VideoGenerator {
  public:
   explicit VideoGenerator(VideoConfig config);
@@ -43,12 +43,6 @@ class VideoGenerator {
   [[nodiscard]] const VideoConfig& config() const noexcept { return config_; }
 
   /// Generates frame `index` (wraps modulo frame_count for looping playback).
-  /// Equal to frame_soa(index).to_aos().
-  [[nodiscard]] PointCloud frame(std::size_t index) const;
-
-  /// SoA form of frame(): same transforms applied in the same point order,
-  /// written straight into contiguous columns. The store's build pipeline
-  /// consumes this layout directly.
   [[nodiscard]] FrameSoA frame_soa(std::size_t index) const;
 
   /// Analytic bound that contains the figure in every frame; used to build
@@ -69,14 +63,10 @@ class VideoGenerator {
   std::vector<PartSample> samples_;  // one entry per output point
 };
 
-/// Deterministically thins a cloud to ~`fraction` of its points, uniformly
-/// across the cloud (hash-based, stable under re-runs). Used to derive the
+/// Deterministically thins a frame to ~`fraction` of its points, uniformly
+/// across the frame (hash-based, stable under re-runs). Used to derive the
 /// 430K / 330K quality tiers from the 550K master, and for distance-based
 /// level-of-detail.
-[[nodiscard]] PointCloud thin(const PointCloud& cloud, double fraction);
-
-/// SoA overload; keeps exactly the points the AoS form keeps (the hash is a
-/// function of the index alone).
 [[nodiscard]] FrameSoA thin(const FrameSoA& frame, double fraction);
 
 }  // namespace volcast::vv

@@ -21,9 +21,8 @@ namespace {
 
 /// Encodes each occupied cell of `frame` exactly; returns per-cell byte and
 /// point counts, and appends (points, bytes) pairs for the size model.
-/// SoA path: one counting-sort bucketing (no per-cell vectors), then a
-/// contiguous gather per occupied cell. Gather order equals the old
-/// assign()+add loop, so the per-cell blobs are byte-identical.
+/// One counting-sort bucketing (no per-cell vectors), then a contiguous
+/// gather per occupied cell in ascending point order.
 void encode_frame_exact(const FrameSoA& frame, const CellGrid& grid,
                         const VideoStoreConfig& config,
                         std::vector<std::uint32_t>& bytes_out,
@@ -38,7 +37,7 @@ void encode_frame_exact(const FrameSoA& frame, const CellGrid& grid,
     if (indices.empty()) continue;
     const FrameSoA cell_frame = frame.gather(indices);
     const auto blob = config.codec_kind == StoreCodec::kOctree
-                          ? octree_encode(cell_frame.to_aos(), config.octree)
+                          ? octree_encode(cell_frame, config.octree)
                           : encode(cell_frame, config.codec);
     bytes_out[c] = static_cast<std::uint32_t>(blob.size());
     points_out[c] = static_cast<std::uint32_t>(indices.size());

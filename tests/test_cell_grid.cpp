@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
@@ -67,20 +70,20 @@ TEST(CellGrid, LocateClampsOutOfBoundsPoints) {
 
 TEST(CellGrid, AssignPartitionsAllPoints) {
   const CellGrid grid(kUnitBox, 0.5);
-  PointCloud cloud;
+  FrameSoA frame;
   for (int i = 0; i < 100; ++i) {
     const double v = i / 100.0;
-    cloud.add({{v, 1.0 - v, 0.5}, 0, 0, 0});
+    frame.push_back({v, 1.0 - v, 0.5}, 0, 0, 0);
   }
-  const auto buckets = grid.assign(cloud);
+  const FlatAssignment flat = grid.assign_flat(frame);
   std::size_t total = 0;
-  for (const auto& b : buckets) total += b.size();
-  EXPECT_EQ(total, cloud.size());
+  for (CellId c = 0; c < grid.cell_count(); ++c) total += flat.cell(c).size();
+  EXPECT_EQ(total, frame.size());
   // Indices must be valid and unique.
-  std::vector<bool> seen(cloud.size(), false);
-  for (const auto& b : buckets) {
-    for (auto i : b) {
-      ASSERT_LT(i, cloud.size());
+  std::vector<bool> seen(frame.size(), false);
+  for (CellId c = 0; c < grid.cell_count(); ++c) {
+    for (auto i : flat.cell(c)) {
+      ASSERT_LT(i, frame.size());
       EXPECT_FALSE(seen[i]);
       seen[i] = true;
     }
@@ -89,16 +92,83 @@ TEST(CellGrid, AssignPartitionsAllPoints) {
 
 TEST(CellGrid, OccupancyMatchesAssign) {
   const CellGrid grid(kUnitBox, 0.34);
-  PointCloud cloud;
+  FrameSoA frame;
   volcast::Rng rng(5);
-  for (int i = 0; i < 500; ++i)
-    cloud.add({{rng.uniform(), rng.uniform(), rng.uniform()}, 0, 0, 0});
-  const auto buckets = grid.assign(cloud);
-  const auto counts = grid.occupancy(cloud);
-  ASSERT_EQ(buckets.size(), counts.size());
-  for (std::size_t c = 0; c < counts.size(); ++c)
-    EXPECT_EQ(counts[c], buckets[c].size());
+  for (int i = 0; i < 500; ++i) {
+    const geo::Vec3 p{rng.uniform(), rng.uniform(), rng.uniform()};
+    frame.push_back(p, 0, 0, 0);
+  }
+  const FlatAssignment flat = grid.assign_flat(frame);
+  const auto counts = grid.occupancy(frame);
+  ASSERT_EQ(flat.offsets.size(), counts.size() + 1);
+  for (CellId c = 0; c < counts.size(); ++c)
+    EXPECT_EQ(counts[c], flat.cell(c).size());
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 500u);
+}
+
+TEST(CellGrid, BatchKernelsMatchLocate) {
+  // locate() is the one-point definition; locate_batch, assign_flat and
+  // occupancy must agree with it on random points, on points exactly on
+  // interior cell boundaries (lo + k * cell_size) and one ulp either side,
+  // where a multiply by the reciprocal can truncate into a different cell
+  // than locate()'s divide, and on points outside the box, which clamp into
+  // edge cells.
+  const geo::Aabb box({-0.8, -0.8, 0.0}, {0.8, 0.8, 2.0});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double cell : {0.1, 0.25, 0.3, 0.34}) {
+    const CellGrid grid(box, cell);
+    volcast::Rng rng(17);
+    FrameSoA frame;
+    for (int i = 0; i < 2000; ++i) {
+      const geo::Vec3 p{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                        rng.uniform(-0.2, 2.2)};
+      frame.push_back(p, 0, 0, 0);
+    }
+    const std::array<std::uint32_t, 3> cells{grid.nx(), grid.ny(), grid.nz()};
+    const std::array<double, 3> lo{box.lo.x, box.lo.y, box.lo.z};
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      for (std::uint32_t k = 1; k < cells[axis]; ++k) {
+        const double edge = lo[axis] + static_cast<double>(k) * cell;
+        for (const double v : {std::nextafter(edge, -kInf), edge,
+                               std::nextafter(edge, kInf)}) {
+          geo::Vec3 p{rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
+                      rng.uniform(0.0, 2.0)};
+          (axis == 0 ? p.x : axis == 1 ? p.y : p.z) = v;
+          frame.push_back(p, 0, 0, 0);
+        }
+      }
+    }
+    frame.push_back({-5.0, -5.0, -5.0}, 0, 0, 0);
+    frame.push_back({5.0, 5.0, 5.0}, 0, 0, 0);
+    frame.push_back(box.hi, 0, 0, 0);
+
+    const std::vector<CellId> ids = grid.locate_batch(frame);
+    ASSERT_EQ(ids.size(), frame.size());
+    for (std::size_t i = 0; i < frame.size(); ++i)
+      ASSERT_EQ(ids[i], grid.locate(frame.position(i)))
+          << "cell size " << cell << " point " << i;
+
+    const FlatAssignment flat = grid.assign_flat(frame);
+    ASSERT_EQ(flat.offsets.size(), grid.cell_count() + 1);
+    ASSERT_EQ(flat.indices.size(), frame.size());
+    std::vector<bool> seen(frame.size(), false);
+    for (CellId c = 0; c < grid.cell_count(); ++c) {
+      const auto members = flat.cell(c);
+      for (std::size_t k = 0; k < members.size(); ++k) {
+        const std::uint32_t i = members[k];
+        ASSERT_LT(i, frame.size());
+        EXPECT_FALSE(seen[i]) << "index " << i << " assigned twice";
+        seen[i] = true;
+        EXPECT_EQ(grid.locate(frame.position(i)), c);
+        if (k > 0) EXPECT_LT(members[k - 1], i) << "cell " << c;
+      }
+    }
+
+    const std::vector<std::uint32_t> counts = grid.occupancy(frame);
+    ASSERT_EQ(counts.size(), grid.cell_count());
+    for (CellId c = 0; c < grid.cell_count(); ++c)
+      EXPECT_EQ(counts[c], flat.cell(c).size()) << "cell " << c;
+  }
 }
 
 TEST(CellGrid, PointsLandInContainingCell) {

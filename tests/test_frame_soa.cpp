@@ -1,8 +1,6 @@
-// SoA-refactor equivalence suite. The FrameSoA layout exists purely for
-// speed — every test here pins the exactness contract that makes the
-// refactor safe: AoS <-> SoA conversion is value-preserving, every SoA
-// pipeline (codec, cell grid, generator, store, session) produces output
-// bit-identical to its AoS predecessor, and the invariance holds at every
+// FrameSoA suite: the frame container itself (state, bounds, columns,
+// from_columns, gather) plus the end-to-end pins that the column pipeline
+// reproduces the committed session goldens and stays bit-identical at every
 // thread count (worker_threads 1/4, parallel_sessions 1/8).
 #include <gtest/gtest.h>
 
@@ -12,14 +10,12 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/fleet.h"
-#include "pointcloud/cell_grid.h"
-#include "pointcloud/codec.h"
 #include "pointcloud/point_cloud.h"
-#include "pointcloud/video_generator.h"
 #include "session_compare.h"
 #include "session_golden.h"
 
@@ -30,24 +26,8 @@
 namespace volcast::vv {
 namespace {
 
-PointCloud random_cloud(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  PointCloud cloud;
-  cloud.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Point p;
-    p.position = {rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
-                  rng.uniform(-10.0, 10.0)};
-    p.r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    cloud.add(p);
-  }
-  return cloud;
-}
-
 /// Bit-level double equality: NaN-safe and distinguishes -0.0 from 0.0,
-/// which is exactly the strength of guarantee the refactor claims.
+/// which is exactly the strength of guarantee the columns claim.
 ::testing::AssertionResult bits_equal(double a, double b) {
   if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
     return ::testing::AssertionSuccess();
@@ -55,56 +35,79 @@ PointCloud random_cloud(std::size_t n, std::uint64_t seed) {
          << a << " and " << b << " differ in bits";
 }
 
+::testing::AssertionResult bounds_bits_equal(const geo::Aabb& a,
+                                             const geo::Aabb& b) {
+  for (const auto& [x, y] :
+       {std::pair{a.lo.x, b.lo.x}, std::pair{a.lo.y, b.lo.y},
+        std::pair{a.lo.z, b.lo.z}, std::pair{a.hi.x, b.hi.x},
+        std::pair{a.hi.y, b.hi.y}, std::pair{a.hi.z, b.hi.z}}) {
+    ::testing::AssertionResult result = bits_equal(x, y);
+    if (!result) return result;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct Sample {
+  geo::Vec3 position;
+  std::uint8_t r, g, b;
+};
+
+std::vector<Sample> random_samples(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Sample> out(n);
+  for (Sample& s : out) {
+    s.position = {rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+                  rng.uniform(-10.0, 10.0)};
+    s.r = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    s.g = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    s.b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  return out;
+}
+
+FrameSoA frame_of(const std::vector<Sample>& samples) {
+  FrameSoA frame;
+  frame.reserve(samples.size());
+  for (const Sample& s : samples) frame.push_back(s.position, s.r, s.g, s.b);
+  return frame;
+}
+
 TEST(FrameSoARoundTrip, ExactAcrossSizesSweep) {
+  // push_back -> columns is exact: every double and color byte comes back
+  // bit for bit, in order, and the maintained bounds equal a fresh scan.
   for (const std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{17},
                               std::size_t{256}, std::size_t{1000},
                               std::size_t{4096}}) {
-    const PointCloud cloud = random_cloud(n, 0xABCD00 + n);
-    const FrameSoA frame = FrameSoA::from_aos(cloud);
-    ASSERT_EQ(frame.size(), cloud.size());
-
-    // SoA -> AoS reproduces every point exactly, in order.
-    const PointCloud back = frame.to_aos();
-    ASSERT_EQ(back.size(), cloud.size());
+    const std::vector<Sample> samples = random_samples(n, 0xABCD00 + n);
+    const FrameSoA frame = frame_of(samples);
+    ASSERT_EQ(frame.size(), n);
+    geo::Aabb scan;
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(bits_equal(back.points()[i].position.x,
-                             cloud.points()[i].position.x));
-      EXPECT_TRUE(bits_equal(back.points()[i].position.y,
-                             cloud.points()[i].position.y));
-      EXPECT_TRUE(bits_equal(back.points()[i].position.z,
-                             cloud.points()[i].position.z));
-      EXPECT_EQ(back.points()[i].r, cloud.points()[i].r);
-      EXPECT_EQ(back.points()[i].g, cloud.points()[i].g);
-      EXPECT_EQ(back.points()[i].b, cloud.points()[i].b);
+      const Sample& s = samples[i];
+      EXPECT_TRUE(bits_equal(frame.xs()[i], s.position.x));
+      EXPECT_TRUE(bits_equal(frame.ys()[i], s.position.y));
+      EXPECT_TRUE(bits_equal(frame.zs()[i], s.position.z));
+      EXPECT_EQ(frame.rgb()[3 * i], s.r);
+      EXPECT_EQ(frame.rgb()[3 * i + 1], s.g);
+      EXPECT_EQ(frame.rgb()[3 * i + 2], s.b);
+      scan.expand(s.position);
     }
-
-    // AoS -> SoA -> AoS -> SoA is a fixed point.
-    EXPECT_TRUE(FrameSoA::from_aos(back) == frame);
-
-    // Cached bounds equal a fresh AoS scan, bit for bit.
-    const geo::Aabb aos_bounds = cloud.bounds();
-    EXPECT_TRUE(bits_equal(frame.bounds().lo.x, aos_bounds.lo.x));
-    EXPECT_TRUE(bits_equal(frame.bounds().lo.y, aos_bounds.lo.y));
-    EXPECT_TRUE(bits_equal(frame.bounds().lo.z, aos_bounds.lo.z));
-    EXPECT_TRUE(bits_equal(frame.bounds().hi.x, aos_bounds.hi.x));
-    EXPECT_TRUE(bits_equal(frame.bounds().hi.y, aos_bounds.hi.y));
-    EXPECT_TRUE(bits_equal(frame.bounds().hi.z, aos_bounds.hi.z));
-    EXPECT_EQ(frame.raw_size_bytes(), cloud.raw_size_bytes());
+    EXPECT_TRUE(bounds_bits_equal(frame.bounds(), scan));
+    EXPECT_EQ(frame.raw_size_bytes(), 15 * n);
   }
 }
 
 TEST(FrameSoARoundTrip, EmptyFrame) {
-  const FrameSoA frame = FrameSoA::from_aos(PointCloud{});
+  const FrameSoA frame = FrameSoA::from_columns({}, {}, {}, {});
   EXPECT_TRUE(frame.empty());
   EXPECT_EQ(frame.size(), 0u);
-  EXPECT_TRUE(frame.to_aos().empty());
+  EXPECT_TRUE(frame == FrameSoA{});
   EXPECT_FALSE(frame.bounds().valid());
 }
 
 TEST(FrameSoARoundTrip, SinglePointFrame) {
-  PointCloud cloud;
-  cloud.add({{-1.5, 0.0, 2.25}, 7, 8, 9});
-  const FrameSoA frame = FrameSoA::from_aos(cloud);
+  FrameSoA frame;
+  frame.push_back({-1.5, 0.0, 2.25}, 7, 8, 9);
   ASSERT_EQ(frame.size(), 1u);
   EXPECT_TRUE(bits_equal(frame.xs()[0], -1.5));
   EXPECT_TRUE(bits_equal(frame.ys()[0], 0.0));
@@ -112,22 +115,59 @@ TEST(FrameSoARoundTrip, SinglePointFrame) {
   EXPECT_EQ(frame.rgb()[0], 7);
   EXPECT_EQ(frame.rgb()[1], 8);
   EXPECT_EQ(frame.rgb()[2], 9);
-  EXPECT_TRUE(frame.to_aos().points()[0] == cloud.points()[0]);
   // A single point is its own bounding box.
-  EXPECT_TRUE(bits_equal(frame.bounds().lo.x, frame.bounds().hi.x));
+  EXPECT_TRUE(bounds_bits_equal(frame.bounds(),
+                                {frame.position(0), frame.position(0)}));
+}
+
+// The point-cloud container state of point_cloud.h's frame type.
+TEST(PointCloud, EmptyState) {
+  const FrameSoA frame;
+  EXPECT_TRUE(frame.empty());
+  EXPECT_EQ(frame.size(), 0u);
+  EXPECT_FALSE(frame.bounds().valid());
+  EXPECT_EQ(frame.raw_size_bytes(), 0u);
+}
+
+TEST(FrameSoA, PushBackAndBounds) {
+  FrameSoA frame;
+  frame.push_back({1, 2, 3}, 255, 0, 0);
+  frame.push_back({-1, 0, 5}, 0, 255, 0);
+  EXPECT_EQ(frame.size(), 2u);
+  EXPECT_EQ(frame.bounds().lo, geo::Vec3(-1, 0, 3));
+  EXPECT_EQ(frame.bounds().hi, geo::Vec3(1, 2, 5));
+}
+
+TEST(FrameSoA, RawSizeIs15BytesPerPoint) {
+  FrameSoA frame;
+  for (int i = 0; i < 10; ++i) frame.push_back({}, 0, 0, 0);
+  EXPECT_EQ(frame.raw_size_bytes(), 150u);
+}
+
+TEST(FrameSoA, ClearEmptiesAndResetsBounds) {
+  FrameSoA frame;
+  frame.push_back({1, 2, 3}, 4, 5, 6);
+  frame.push_back({-1, 0, 5}, 7, 8, 9);
+  ASSERT_TRUE(frame.bounds().valid());
+  frame.clear();
+  EXPECT_TRUE(frame.empty());
+  EXPECT_TRUE(frame.rgb().empty());
+  EXPECT_FALSE(frame.bounds().valid());
+  // The next push starts a fresh box, not one grown from the old points.
+  frame.push_back({10, 10, 10}, 0, 0, 0);
+  EXPECT_EQ(frame.bounds().lo, geo::Vec3(10, 10, 10));
+  EXPECT_EQ(frame.bounds().hi, geo::Vec3(10, 10, 10));
 }
 
 TEST(FrameSoAColumns, FromColumnsMatchesPushBack) {
-  const PointCloud cloud = random_cloud(137, 42);
-  const FrameSoA pushed = FrameSoA::from_aos(cloud);
+  const FrameSoA pushed = frame_of(random_samples(137, 42));
   FrameSoA adopted = FrameSoA::from_columns(
       {pushed.xs().begin(), pushed.xs().end()},
       {pushed.ys().begin(), pushed.ys().end()},
       {pushed.zs().begin(), pushed.zs().end()},
       {pushed.rgb().begin(), pushed.rgb().end()});
   EXPECT_TRUE(adopted == pushed);
-  EXPECT_TRUE(bits_equal(adopted.bounds().lo.x, pushed.bounds().lo.x));
-  EXPECT_TRUE(bits_equal(adopted.bounds().hi.z, pushed.bounds().hi.z));
+  EXPECT_TRUE(bounds_bits_equal(adopted.bounds(), pushed.bounds()));
 }
 
 TEST(FrameSoAColumns, FromColumnsRejectsMismatchedLengths) {
@@ -140,68 +180,18 @@ TEST(FrameSoAColumns, FromColumnsRejectsMismatchedLengths) {
 }
 
 TEST(FrameSoAColumns, GatherMatchesIndexedCopy) {
-  const PointCloud cloud = random_cloud(64, 99);
-  const FrameSoA frame = FrameSoA::from_aos(cloud);
+  const FrameSoA frame = frame_of(random_samples(64, 99));
   const std::vector<std::uint32_t> indices{3, 3, 0, 63, 17};
   const FrameSoA sub = frame.gather(indices);
   ASSERT_EQ(sub.size(), indices.size());
   for (std::size_t k = 0; k < indices.size(); ++k) {
-    const Point& want = cloud.points()[indices[k]];
-    EXPECT_TRUE(bits_equal(sub.xs()[k], want.position.x));
-    EXPECT_TRUE(bits_equal(sub.ys()[k], want.position.y));
-    EXPECT_TRUE(bits_equal(sub.zs()[k], want.position.z));
-    EXPECT_EQ(sub.rgb()[3 * k], want.r);
-  }
-}
-
-TEST(FrameSoACodec, SoAEncodeIsByteIdenticalToAoS) {
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{500}, std::size_t{5000}}) {
-    const PointCloud cloud = random_cloud(n, 0xC0DEC + n);
-    const auto aos_blob = encode(cloud);
-    const auto soa_blob = encode(FrameSoA::from_aos(cloud));
-    EXPECT_EQ(aos_blob, soa_blob) << "n=" << n;
-
-    // Both decode paths agree value-for-value.
-    const PointCloud via_aos = decode(aos_blob);
-    const PointCloud via_soa = decode_soa(aos_blob).to_aos();
-    ASSERT_EQ(via_aos.size(), via_soa.size());
-    for (std::size_t i = 0; i < via_aos.size(); ++i)
-      EXPECT_TRUE(via_aos.points()[i] == via_soa.points()[i]);
-  }
-}
-
-TEST(FrameSoACellGrid, AssignFlatMatchesAssign) {
-  const PointCloud cloud = random_cloud(2000, 0x6121D);
-  const FrameSoA frame = FrameSoA::from_aos(cloud);
-  const CellGrid grid(cloud.bounds(), 1.0);
-  const auto buckets = grid.assign(cloud);
-  const FlatAssignment flat = grid.assign_flat(frame);
-  ASSERT_EQ(flat.offsets.size(), grid.cell_count() + 1);
-  EXPECT_EQ(flat.indices.size(), cloud.size());
-  for (CellId c = 0; c < grid.cell_count(); ++c) {
-    const auto span = flat.cell(c);
-    ASSERT_EQ(span.size(), buckets[c].size()) << "cell " << c;
-    for (std::size_t k = 0; k < span.size(); ++k)
-      EXPECT_EQ(span[k], buckets[c][k]) << "cell " << c;
-  }
-  EXPECT_EQ(grid.occupancy(frame), grid.occupancy(cloud));
-}
-
-TEST(FrameSoAGenerator, FrameSoAMatchesAoSFrameAndThin) {
-  VideoConfig vc;
-  vc.points_per_frame = 10'000;
-  vc.frame_count = 6;
-  const VideoGenerator gen(vc);
-  for (const std::size_t f : {std::size_t{0}, std::size_t{3}}) {
-    const PointCloud aos = gen.frame(f);
-    const FrameSoA soa = gen.frame_soa(f);
-    ASSERT_EQ(aos.size(), soa.size());
-    EXPECT_TRUE(FrameSoA::from_aos(aos) == soa);
-
-    const PointCloud thin_aos = thin(aos, 0.6);
-    const FrameSoA thin_soa = thin(soa, 0.6);
-    EXPECT_TRUE(FrameSoA::from_aos(thin_aos) == thin_soa);
+    const std::uint32_t i = indices[k];
+    EXPECT_TRUE(bits_equal(sub.xs()[k], frame.position(i).x));
+    EXPECT_TRUE(bits_equal(sub.ys()[k], frame.position(i).y));
+    EXPECT_TRUE(bits_equal(sub.zs()[k], frame.position(i).z));
+    EXPECT_EQ(sub.rgb()[3 * k], frame.rgb()[3 * i]);
+    EXPECT_EQ(sub.rgb()[3 * k + 1], frame.rgb()[3 * i + 1]);
+    EXPECT_EQ(sub.rgb()[3 * k + 2], frame.rgb()[3 * i + 2]);
   }
 }
 

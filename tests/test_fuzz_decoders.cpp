@@ -19,14 +19,16 @@
 namespace volcast {
 namespace {
 
-vv::PointCloud sample_cloud() {
+vv::FrameSoA sample_frame() {
   Rng rng(5);
-  vv::PointCloud cloud;
+  vv::FrameSoA frame;
   for (int i = 0; i < 2000; ++i) {
-    cloud.add({{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2)},
-               static_cast<std::uint8_t>(rng.uniform_int(0, 255)), 10, 20});
+    const geo::Vec3 p{rng.uniform(-1, 1), rng.uniform(-1, 1),
+                      rng.uniform(0, 2)};
+    frame.push_back(p, static_cast<std::uint8_t>(rng.uniform_int(0, 255)),
+                    10, 20);
   }
-  return cloud;
+  return frame;
 }
 
 /// Flips `flips` random bits of `data` (deterministic per seed).
@@ -69,13 +71,13 @@ std::vector<std::uint8_t> with_deletions(std::vector<std::uint8_t> data,
 }
 
 TEST(FuzzDecoders, MortonCodecSurvivesBitFlips) {
-  const auto blob = vv::encode(sample_cloud());
+  const auto blob = vv::encode(sample_frame());
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const auto bad = corrupted(blob, seed, 3);
     try {
-      const auto cloud = vv::decode(bad);
+      const auto frame = vv::decode_soa(bad);
       // Garbage is fine; unbounded output is not.
-      EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
+      EXPECT_LE(frame.size(), 64u * 8u * bad.size() + 64u);
     } catch (const std::runtime_error&) {
       // Clean rejection is fine too.
     }
@@ -83,39 +85,39 @@ TEST(FuzzDecoders, MortonCodecSurvivesBitFlips) {
 }
 
 TEST(FuzzDecoders, MortonCodecSurvivesTruncation) {
-  const auto blob = vv::encode(sample_cloud());
+  const auto blob = vv::encode(sample_frame());
   for (std::size_t keep = 0; keep < blob.size(); keep += 97) {
     const std::vector<std::uint8_t> cut(blob.begin(),
                                         blob.begin() + static_cast<long>(keep));
     try {
-      const auto cloud = vv::decode(cut);
-      EXPECT_LE(cloud.size(), 64u * 8u * (cut.size() + 8) + 64u);
+      const auto frame = vv::decode_soa(cut);
+      EXPECT_LE(frame.size(), 64u * 8u * (cut.size() + 8) + 64u);
     } catch (const std::runtime_error&) {
     }
   }
 }
 
 TEST(FuzzDecoders, MortonCodecRejectsHugeCountHeader) {
-  auto blob = vv::encode(sample_cloud());
+  auto blob = vv::encode(sample_frame());
   // Overwrite the count field (bytes 4..7, little endian) with 2^32 - 1.
   blob[4] = blob[5] = blob[6] = blob[7] = 0xff;
-  EXPECT_THROW((void)vv::decode(blob), std::runtime_error);
+  EXPECT_THROW((void)vv::decode_soa(blob), std::runtime_error);
 }
 
 TEST(FuzzDecoders, OctreeCodecSurvivesBitFlips) {
-  const auto blob = vv::octree_encode(sample_cloud());
+  const auto blob = vv::octree_encode(sample_frame());
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const auto bad = corrupted(blob, seed, 3);
     try {
-      const auto cloud = vv::octree_decode(bad);
-      EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
+      const auto frame = vv::octree_decode(bad);
+      EXPECT_LE(frame.size(), 64u * 8u * bad.size() + 64u);
     } catch (const std::runtime_error&) {
     }
   }
 }
 
 TEST(FuzzDecoders, OctreeCodecSurvivesTruncation) {
-  const auto blob = vv::octree_encode(sample_cloud());
+  const auto blob = vv::octree_encode(sample_frame());
   for (std::size_t keep = 0; keep < blob.size(); keep += 53) {
     const std::vector<std::uint8_t> cut(blob.begin(),
                                         blob.begin() + static_cast<long>(keep));
@@ -127,7 +129,7 @@ TEST(FuzzDecoders, OctreeCodecSurvivesTruncation) {
 }
 
 TEST(FuzzDecoders, OctreeCodecRejectsHugeVoxelCount) {
-  auto blob = vv::octree_encode(sample_cloud());
+  auto blob = vv::octree_encode(sample_frame());
   blob[4] = blob[5] = blob[6] = blob[7] = 0xff;
   EXPECT_THROW((void)vv::octree_decode(blob), std::runtime_error);
 }
@@ -150,19 +152,19 @@ TEST(FuzzDecoders, TraceReaderSurvivesGarbageBodies) {
 TEST(FuzzDecoders, EmptyAndTinyInputs) {
   for (std::size_t n : {0u, 1u, 4u, 16u, 57u}) {
     const std::vector<std::uint8_t> tiny(n, 0x5a);
-    EXPECT_THROW((void)vv::decode(tiny), std::runtime_error);
+    EXPECT_THROW((void)vv::decode_soa(tiny), std::runtime_error);
     EXPECT_THROW((void)vv::octree_decode(tiny), std::runtime_error);
   }
 }
 
 TEST(FuzzDecoders, MortonCodecSurvivesInsertionsAndDeletions) {
-  const auto blob = vv::encode(sample_cloud());
+  const auto blob = vv::encode(sample_frame());
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     for (const auto& bad : {with_insertions(blob, seed, 4),
                             with_deletions(blob, seed, 4)}) {
       try {
-        const auto cloud = vv::decode(bad);
-        EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
+        const auto frame = vv::decode_soa(bad);
+        EXPECT_LE(frame.size(), 64u * 8u * bad.size() + 64u);
       } catch (const std::runtime_error&) {
       }
     }
@@ -170,13 +172,13 @@ TEST(FuzzDecoders, MortonCodecSurvivesInsertionsAndDeletions) {
 }
 
 TEST(FuzzDecoders, OctreeCodecSurvivesInsertionsAndDeletions) {
-  const auto blob = vv::octree_encode(sample_cloud());
+  const auto blob = vv::octree_encode(sample_frame());
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     for (const auto& bad : {with_insertions(blob, seed, 4),
                             with_deletions(blob, seed, 4)}) {
       try {
-        const auto cloud = vv::octree_decode(bad);
-        EXPECT_LE(cloud.size(), 64u * 8u * bad.size() + 64u);
+        const auto frame = vv::octree_decode(bad);
+        EXPECT_LE(frame.size(), 64u * 8u * bad.size() + 64u);
       } catch (const std::runtime_error&) {
       }
     }

@@ -196,7 +196,7 @@ TEST(ComputeVisibility, RealContentVisibleFraction) {
   vc.frame_count = 2;
   const vv::VideoGenerator gen(vc);
   const CellGrid grid(gen.content_bounds(), 0.25);
-  const auto occupancy = grid.occupancy(gen.frame(0));
+  const auto occupancy = grid.occupancy(gen.frame_soa(0));
   std::size_t occupied = 0;
   for (auto n : occupancy)
     if (n > 0) ++occupied;
