@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
-// encode/decode, frustum culling, visibility computation, beam gain
-// evaluation, AWV synthesis and the grouping search. These are the budgets
-// that decide whether the cross-layer scheduler can run per frame interval
-// (33 ms at 30 FPS) on an edge server.
+// encode/decode, tile encode and checksum, frustum culling, visibility
+// computation, beam gain evaluation, AWV synthesis and the grouping search.
+// These are the budgets that decide whether the cross-layer scheduler can
+// run per frame interval (33 ms at 30 FPS) on an edge server.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -13,6 +13,7 @@
 #include "mmwave/link.h"
 #include "pointcloud/codec.h"
 #include "pointcloud/octree_codec.h"
+#include "pointcloud/tile_cache.h"
 #include "pointcloud/video_generator.h"
 #include "viewport/similarity.h"
 #include "viewport/visibility.h"
@@ -97,6 +98,38 @@ void BM_OctreeDecode(benchmark::State& state) {
       static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_OctreeDecode)->Arg(100'000);
+
+vv::TileKey bench_tile_key() {
+  vv::TileKey key;
+  key.content = 0x5eedc0de;
+  key.frame = 3;
+  key.cell = 42;
+  key.tier = 1;
+  return key;
+}
+
+// The stitch path: one checksum pass over a resident tile, which
+// TileCache::get pays on every hit.
+void BM_TileChecksum(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const vv::Tile tile = vv::encode_tile(bench_tile_key(), bytes);
+  for (auto _ : state) benchmark::DoNotOptimize(vv::stitch_tile(tile));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_TileChecksum)->Arg(4 << 10)->Arg(32 << 10)->Arg(128 << 10);
+
+// The first-touch path: keystream, mixing rounds and the checksum.
+void BM_TileEncode(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const vv::Tile tile = vv::encode_tile(bench_tile_key(), bytes);
+    benchmark::DoNotOptimize(tile.checksum);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_TileEncode)->Arg(4 << 10)->Arg(32 << 10)->Arg(128 << 10);
 
 void BM_FrustumCulling(benchmark::State& state) {
   const vv::CellGrid grid(generator().content_bounds(), 0.25);

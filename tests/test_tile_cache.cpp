@@ -1,6 +1,9 @@
 // Content-addressed tile cache (pointcloud/tile_cache.h) and the tiling
-// stage built on it: encode determinism, insert-or-get dedup, FIFO
-// eviction under pressure, corrupt-tile rejection, and — the load-bearing
+// stage built on it: the XXH64 tile checksum (known answers, single-bit
+// sensitivity) and the pinned encode payloads, encode determinism,
+// insert-or-get dedup, FIFO eviction under pressure (also after a corrupt
+// eviction and re-insert), corrupt-tile rejection under concurrent
+// get/put/corrupt traffic, and — the load-bearing
 // property — bit-identical SessionResult/FleetResult whether tiling is
 // off or shared, at any worker_threads / parallel_sessions value, with a
 // session-local, external, or fleet-shared cache.
@@ -8,10 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "core/checkpoint.h"
 #include "core/fleet.h"
@@ -29,6 +36,60 @@ vv::TileKey key_of(std::uint32_t frame, std::uint16_t tier,
   key.tier = tier;
   key.cell = cell;
   return key;
+}
+
+std::uint64_t checksum_of(std::string_view text) {
+  return vv::tile_checksum(
+      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+}
+
+TEST(TileCache, ChecksumMatchesXxh64KnownAnswers) {
+  // Published XXH64 (seed 0) digests.
+  EXPECT_EQ(checksum_of(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(checksum_of("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(checksum_of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+}
+
+TEST(TileCache, ChecksumDetectsEverySingleBitFlip) {
+  // Lengths 0-70 cross every stripe (32), 8-byte and 4-byte tail boundary
+  // at least twice; 4096 and 4099 are a whole-stripe tile and one with a
+  // 3-byte tail.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 70; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  lengths.push_back(4099);
+  for (std::size_t n : lengths) {
+    std::vector<std::uint8_t> data =
+        vv::encode_tile(key_of(1, 0, static_cast<std::uint32_t>(n)), n)
+            .payload;
+    const std::uint64_t clean = vv::tile_checksum(data);
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_NE(vv::tile_checksum(data), clean)
+          << "length " << n << " bit " << bit;
+      data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+  }
+}
+
+TEST(TileCache, EncodePayloadsArePinned) {
+  // FNV-1a-64 over the encode_tile payloads of fixed keys and sizes (every
+  // 8-byte word boundary case). The keystream and its mixing rounds model
+  // the codec's encode work; this digest proves they have not changed.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const std::size_t sizes[] = {1, 7, 8, 9, 31, 32, 33, 100, 1000, 4096, 4099};
+  std::uint32_t n = 0;
+  for (std::size_t bytes : sizes) {
+    const vv::TileKey key =
+        key_of(n, static_cast<std::uint16_t>(n % 3), 17 * n + 5);
+    ++n;
+    for (std::uint8_t b : vv::encode_tile(key, bytes).payload) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(h, 0x74e50c9e83e93c81ULL);
 }
 
 TEST(TileCache, EncodeIsDeterministicAndKeyed) {
@@ -110,6 +171,98 @@ TEST(TileCache, RejectsAndEvictsCorruptTiles) {
   // A fresh (valid) encode repopulates the slot.
   (void)cache.put(vv::encode_tile(key_of(2, 1, 3), 64));
   EXPECT_NE(cache.get(key_of(2, 1, 3)), nullptr);
+}
+
+TEST(TileCache, ReinsertAfterCorruptEvictionKeepsInsertionOrder) {
+  // A corrupt eviction leaves the key's old FIFO slot behind. After the
+  // key is re-inserted, that stale slot must not evict the fresh tile
+  // ahead of older residents.
+  vv::TileCache cache(300);  // room for 3 x 100
+  const vv::TileKey a = key_of(0, 0, 1);
+  const vv::TileKey b = key_of(0, 0, 2);
+  (void)cache.put(vv::encode_tile(a, 100));
+  (void)cache.put(vv::encode_tile(b, 100));
+  ASSERT_TRUE(cache.corrupt(a));
+  EXPECT_EQ(cache.get(a), nullptr);  // evicted as corrupt
+  (void)cache.put(vv::encode_tile(a, 100));
+  (void)cache.put(vv::encode_tile(key_of(0, 0, 3), 100));
+  (void)cache.put(vv::encode_tile(key_of(0, 0, 4), 100));
+
+  // B is now the oldest resident, so it is the one evicted.
+  EXPECT_EQ(cache.stats().evictions.load(), 1u);
+  EXPECT_EQ(cache.get(b), nullptr);
+  EXPECT_NE(cache.get(a), nullptr);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.payload_bytes(), 300u);
+}
+
+// Four threads get/put/corrupt a small key set. get() must never serve a
+// tile that fails validation, every get counts as exactly one hit or miss,
+// and the resident-byte accounting must match what is actually resident.
+void hammer_cache(vv::TileCache& cache) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 3000;
+  constexpr std::uint32_t kKeys = 12;
+  std::vector<vv::Tile> tiles;
+  for (std::uint32_t k = 0; k < kKeys; ++k)
+    tiles.push_back(vv::encode_tile(key_of(0, 0, k), 64 + 40 * (k % 5)));
+
+  std::atomic<std::uint64_t> gets{0};
+  std::atomic<std::uint64_t> bad_serves{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<std::uint32_t>(t + 1));
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const vv::Tile& tile = tiles[rng() % kKeys];
+        const std::uint32_t op = rng() % 8;
+        if (op == 0) {
+          (void)cache.corrupt(tile.key);
+        } else if (op <= 2) {
+          (void)cache.put(tile);
+        } else {
+          const auto got = cache.get(tile.key);
+          gets.fetch_add(1, std::memory_order_relaxed);
+          if (got != nullptr && !got->valid())
+            bad_serves.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const vv::TileCache::Stats& stats = cache.stats();
+  EXPECT_EQ(bad_serves.load(), 0u);
+  EXPECT_EQ(stats.hits.load() + stats.misses.load(), gets.load());
+  EXPECT_GT(stats.corrupt_rejected.load(), 0u);
+
+  // Sweep: get() evicts whatever is still corrupt, so afterwards the
+  // residents are exactly the tiles the sweep was served.
+  std::size_t resident_bytes = 0;
+  std::size_t resident = 0;
+  for (const vv::Tile& tile : tiles) {
+    if (const auto got = cache.get(tile.key)) {
+      EXPECT_TRUE(got->valid());
+      resident_bytes += got->payload.size();
+      ++resident;
+    }
+  }
+  EXPECT_EQ(cache.payload_bytes(), resident_bytes);
+  EXPECT_EQ(stats.payload_bytes.load(), resident_bytes);
+  EXPECT_EQ(cache.size(), resident);
+  if (cache.max_bytes() != 0) EXPECT_LE(resident_bytes, cache.max_bytes());
+}
+
+TEST(TileCache, ConcurrentGetPutCorruptBounded) {
+  vv::TileCache cache(600);  // about a third of the key set: steady churn
+  hammer_cache(cache);
+  EXPECT_GT(cache.stats().evictions.load(), 0u);
+}
+
+TEST(TileCache, ConcurrentGetPutCorruptUnbounded) {
+  vv::TileCache cache;
+  hammer_cache(cache);
+  EXPECT_EQ(cache.stats().evictions.load(), 0u);
 }
 
 TEST(TileCache, FreezeStopsStoresButKeepsServing) {
