@@ -52,32 +52,21 @@ int main() {
                                         testbed.channel(), u1, {},
                                         testbed.budget()) +
               s1);
+    const geo::Vec3 group[] = {u1, u2, u3};
+    const mmwave::LinkTable links = testbed.link_table(group);
+    const mmwave::Codebook& codebook = testbed.codebook();
     {
-      const geo::Vec3 group[] = {u1, u2};
-      const auto beam = testbed.codebook().beam(
-          testbed.codebook().best_common_beam(testbed.ap(), group));
-      rss_2.add(std::min(
-          mmwave::rss_dbm(testbed.ap(), beam, testbed.channel(), u1, {},
-                          testbed.budget()) +
-              s1,
-          mmwave::rss_dbm(testbed.ap(), beam, testbed.channel(), u2, {},
-                          testbed.budget()) +
-              s2));
+      const std::size_t pair[] = {0, 1};
+      const auto beam = codebook.beam(codebook.best_common_beam(links, pair));
+      rss_2.add(std::min(links.rss_dbm(beam, 0, {}) + s1,
+                         links.rss_dbm(beam, 1, {}) + s2));
     }
     {
-      const geo::Vec3 group[] = {u1, u2, u3};
-      const auto beam = testbed.codebook().beam(
-          testbed.codebook().best_common_beam(testbed.ap(), group));
-      rss_3.add(std::min(
-          {mmwave::rss_dbm(testbed.ap(), beam, testbed.channel(), u1, {},
-                           testbed.budget()) +
-               s1,
-           mmwave::rss_dbm(testbed.ap(), beam, testbed.channel(), u2, {},
-                           testbed.budget()) +
-               s2,
-           mmwave::rss_dbm(testbed.ap(), beam, testbed.channel(), u3, {},
-                           testbed.budget()) +
-               s3}));
+      const std::size_t trio[] = {0, 1, 2};
+      const auto beam = codebook.beam(codebook.best_common_beam(links, trio));
+      rss_3.add(std::min({links.rss_dbm(beam, 0, {}) + s1,
+                          links.rss_dbm(beam, 1, {}) + s2,
+                          links.rss_dbm(beam, 2, {}) + s3}));
     }
   }
 

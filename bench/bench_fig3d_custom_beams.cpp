@@ -48,8 +48,9 @@ int main() {
     const geo::Vec3 u2 = random_position();
 
     const geo::Vec3 group[] = {u1, u2};
+    const std::size_t pair[] = {0, 1};
     const auto stock_beam = testbed.codebook().beam(
-        testbed.codebook().best_common_beam(testbed.ap(), group));
+        testbed.codebook().best_common_beam(testbed.link_table(group), pair));
     const double stock = min_rss(stock_beam, u1, u2);
 
     const mmwave::Awv b1 = testbed.ap().steer_at(u1);

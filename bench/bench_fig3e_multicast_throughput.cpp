@@ -93,8 +93,10 @@ int main() {
       if (r1 <= 0.0 || r2 <= 0.0) continue;
 
       const geo::Vec3 group[] = {room(pose1.position), room(pose2.position)};
+      const std::size_t pair[] = {0, 1};
       const auto stock_beam = testbed.codebook().beam(
-          testbed.codebook().best_common_beam(testbed.ap(), group));
+          testbed.codebook().best_common_beam(testbed.link_table(group),
+                                              pair));
       const double stock_rate =
           std::min(rate_for(stock_beam, pose1.position),
                    rate_for(stock_beam, pose2.position));

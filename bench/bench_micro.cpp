@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
 // encode/decode, tile encode and checksum, frustum culling, visibility
-// computation, beam gain evaluation, AWV synthesis and the grouping search.
+// computation, beam gain evaluation, the per-tick link-state table, AWV
+// synthesis and the grouping search.
 // These are the budgets that decide whether the cross-layer scheduler can
 // run per frame interval (33 ms at 30 FPS) on an edge server.
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include "core/testbed.h"
 #include "mmwave/beam_design.h"
 #include "mmwave/link.h"
+#include "mmwave/link_table.h"
 #include "pointcloud/codec.h"
 #include "pointcloud/octree_codec.h"
 #include "pointcloud/tile_cache.h"
@@ -181,6 +183,81 @@ void BM_RssEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RssEvaluation);
+
+// The same RSS read from a prebuilt link-state row (what every in-tick
+// query costs) with three blockers.
+void BM_RssEvaluationTable(benchmark::State& state) {
+  const core::Testbed testbed;
+  const geo::Vec3 user{4, 3, 1.5};
+  const geo::BodyObstacle bodies[] = {
+      {{3, 2, 0}, 0.25, 1.8}, {{5, 4, 0}, 0.25, 1.8}, {{6, 2, 0}, 0.25, 1.8}};
+  const mmwave::LinkTable links = testbed.link_table({&user, 1}, bodies);
+  const std::vector<std::size_t> blockers = links.all_bodies();
+  const auto beam = links.row(0).steer_awv;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(links.rss_dbm(beam, 0, blockers));
+}
+BENCHMARK(BM_RssEvaluationTable);
+
+/// Audience seats for the radio benches (room frame).
+std::vector<geo::Vec3> audience(const core::Testbed& testbed,
+                                std::size_t count) {
+  std::vector<geo::Vec3> seats;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double angle = 0.4 + 2.4 * static_cast<double>(i) /
+                                   static_cast<double>(std::max<std::size_t>(
+                                       count - 1, 1));
+    seats.push_back(
+        testbed.to_room({2.2 * std::cos(angle), 2.2 * std::sin(angle), 1.5}));
+  }
+  return seats;
+}
+
+// Best common stock sector for a three-member group: `scan` evaluates
+// every (sector, member) array gain from positions, `rows` reads the
+// members' precomputed sector gains.
+void BM_BestCommonBeam(benchmark::State& state, bool rows) {
+  const core::Testbed testbed;
+  const std::vector<geo::Vec3> group = audience(testbed, 3);
+  const mmwave::LinkTable links = testbed.link_table(group);
+  const std::size_t members[] = {0, 1, 2};
+  const mmwave::Codebook& codebook = testbed.codebook();
+  const mmwave::PhasedArray& ap = testbed.ap();
+  for (auto _ : state) {
+    if (rows) {
+      benchmark::DoNotOptimize(codebook.best_common_beam(links, members));
+      continue;
+    }
+    std::size_t best = 0;
+    double best_min = -1.0;
+    for (std::size_t i = 0; i < codebook.size(); ++i) {
+      double min_gain = 1e300;
+      for (const geo::Vec3& t : group)
+        min_gain = std::min(
+            min_gain, ap.gain(codebook.beam(i), t - ap.pose().position));
+      if (min_gain > best_min) {
+        best_min = min_gain;
+        best = i;
+      }
+    }
+    benchmark::DoNotOptimize(best);
+  }
+}
+BENCHMARK_CAPTURE(BM_BestCommonBeam, scan, false);
+BENCHMARK_CAPTURE(BM_BestCommonBeam, rows, true);
+
+// One tick's table for one AP: every user's paths, steering terms, body
+// losses against everyone, sector gains and steered beam.
+void BM_LinkTableBuild(benchmark::State& state) {
+  const core::Testbed testbed;
+  const std::vector<geo::Vec3> users =
+      audience(testbed, static_cast<std::size_t>(state.range(0)));
+  std::vector<geo::BodyObstacle> bodies;
+  for (const geo::Vec3& u : users) bodies.push_back({u, 0.25, 1.8});
+  for (auto _ : state)
+    benchmark::DoNotOptimize(testbed.link_table(users, bodies).size());
+}
+BENCHMARK(BM_LinkTableBuild)->Arg(4)->Arg(16);
 
 void BM_CombineAwvs(benchmark::State& state) {
   const core::Testbed testbed;

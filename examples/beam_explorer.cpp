@@ -51,8 +51,9 @@ int main() {
               user1.x, user1.y, user2.x, user2.y);
 
   const geo::Vec3 group[] = {user1, user2};
+  const std::size_t pair[] = {0, 1};
   const auto stock = testbed.codebook().beam(
-      testbed.codebook().best_common_beam(testbed.ap(), group));
+      testbed.codebook().best_common_beam(testbed.link_table(group), pair));
 
   const mmwave::Awv b1 = testbed.ap().steer_at(user1);
   const mmwave::Awv b2 = testbed.ap().steer_at(user2);

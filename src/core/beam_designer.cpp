@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/units.h"
-#include "mmwave/link.h"
 #include "obs/metrics.h"
 
 namespace volcast::core {
@@ -20,63 +19,58 @@ BeamDesigner::BeamDesigner(const Testbed& testbed, BeamDesignerConfig config)
     custom_selected_ = &config_.metrics->counter("beam.custom_selected");
     stock_selected_ = &config_.metrics->counter("beam.stock_selected");
     probe_rejects_ = &config_.metrics->counter("beam.probe_rejects");
-    rss_evals_ = &config_.metrics->counter("mmwave.rss_evals");
   }
 }
 
-double BeamDesigner::rss(const mmwave::Awv& w, const geo::Vec3& position,
-                         std::span<const geo::BodyObstacle> bodies) const {
-  return mmwave::rss_dbm(testbed_->ap(), w, testbed_->channel(), position,
-                         bodies, testbed_->budget(), testbed_->blockage(),
-                         rss_evals_);
-}
-
-GroupBeam BeamDesigner::finish(
-    mmwave::Awv awv, bool custom, std::span<const geo::Vec3> positions,
-    std::span<const geo::BodyObstacle> bodies) const {
+GroupBeam BeamDesigner::finish(mmwave::Awv awv, bool custom,
+                                const mmwave::LinkTable& links,
+                                std::span<const std::size_t> members,
+                                std::span<const std::size_t> bodies) const {
   GroupBeam out;
   out.awv = std::move(awv);
   out.custom = custom;
   out.min_member_rss_dbm = std::numeric_limits<double>::infinity();
-  for (const geo::Vec3& p : positions)
+  for (const std::size_t u : members)
     out.min_member_rss_dbm =
-        std::min(out.min_member_rss_dbm, rss(out.awv, p, bodies));
-  if (positions.empty()) out.min_member_rss_dbm = -200.0;
+        std::min(out.min_member_rss_dbm, links.rss_dbm(out.awv, u, bodies));
+  if (members.empty()) out.min_member_rss_dbm = -200.0;
   out.multicast_rate_mbps =
       testbed_->mcs().goodput_mbps(out.min_member_rss_dbm);
   return out;
 }
 
 GroupBeam BeamDesigner::design_unicast(
-    const geo::Vec3& position,
-    std::span<const geo::BodyObstacle> bodies) const {
-  const geo::Vec3 positions[] = {position};
+    const mmwave::LinkTable& links, std::size_t user,
+    std::span<const std::size_t> bodies) const {
+  const std::size_t members[] = {user};
   if (unicast_designs_ != nullptr) unicast_designs_->add();
   if (config_.enable_custom_beams) {
     // Predicted-position steering: full aperture, no beam search.
     if (custom_selected_ != nullptr) custom_selected_->add();
-    return finish(testbed_->ap().steer_at(position), true, positions, bodies);
+    const auto steered = links.row(user).steer_awv;
+    return finish(mmwave::Awv(steered.begin(), steered.end()), true, links,
+                  members, bodies);
   }
-  const std::size_t sector =
-      testbed_->codebook().best_beam_toward(testbed_->ap(), position);
+  const mmwave::Codebook& codebook = testbed_->codebook();
+  const std::size_t sector = codebook.best_beam_toward(links.row(user));
   if (stock_selected_ != nullptr) stock_selected_->add();
-  return finish(testbed_->codebook().beam(sector), false, positions, bodies);
+  return finish(codebook.beam(sector), false, links, members, bodies);
 }
 
 GroupBeam BeamDesigner::design_multicast(
-    std::span<const geo::Vec3> positions,
-    std::span<const geo::BodyObstacle> bodies,
-    std::span<const geo::Vec3> others) const {
-  if (positions.empty())
+    const mmwave::LinkTable& links, std::span<const std::size_t> members,
+    std::span<const std::size_t> bodies,
+    std::span<const std::size_t> others) const {
+  if (members.empty())
     throw std::invalid_argument("design_multicast: empty group");
   if (multicast_designs_ != nullptr) multicast_designs_->add();
 
   // Stock fallback: the best common sector of the default codebook.
-  const std::size_t common =
-      testbed_->codebook().best_common_beam(testbed_->ap(), positions);
-  GroupBeam stock = finish(testbed_->codebook().beam(common), false,
-                           positions, bodies);
-  if (positions.size() == 1 || !config_.enable_custom_beams) {
+  const mmwave::Codebook& codebook = testbed_->codebook();
+  const std::size_t common = codebook.best_common_beam(links, members);
+  GroupBeam stock =
+      finish(codebook.beam(common), false, links, members, bodies);
+  if (members.size() == 1 || !config_.enable_custom_beams) {
     if (stock_selected_ != nullptr) stock_selected_->add();
     return stock;
   }
@@ -92,16 +86,16 @@ GroupBeam BeamDesigner::design_multicast(
   // by measured per-member RSS (linear).
   std::vector<mmwave::Awv> beams;
   std::vector<double> rss_mw;
-  beams.reserve(positions.size());
-  rss_mw.reserve(positions.size());
-  for (const geo::Vec3& p : positions) {
-    mmwave::Awv individual = testbed_->ap().steer_at(p);
-    const double member_rss = rss(individual, p, bodies);
-    beams.push_back(std::move(individual));
+  beams.reserve(members.size());
+  rss_mw.reserve(members.size());
+  for (const std::size_t u : members) {
+    const auto individual = links.row(u).steer_awv;
+    const double member_rss = links.rss_dbm(individual, u, bodies);
+    beams.emplace_back(individual.begin(), individual.end());
     rss_mw.push_back(std::max(dbm_to_mw(member_rss), 1e-15));
   }
-  GroupBeam custom =
-      finish(mmwave::combine_awvs(beams, rss_mw), true, positions, bodies);
+  GroupBeam custom = finish(mmwave::combine_awvs(beams, rss_mw), true, links,
+                            members, bodies);
 
   // Probe before use (Section 5): the custom beam must actually improve the
   // weakest member and must not blast a non-member.
@@ -111,8 +105,8 @@ GroupBeam BeamDesigner::design_multicast(
     if (stock_selected_ != nullptr) stock_selected_->add();
     return stock;
   }
-  for (const geo::Vec3& other : others) {
-    if (rss(custom.awv, other, bodies) > config_.max_spill_dbm) {
+  for (const std::size_t other : others) {
+    if (links.rss_dbm(custom.awv, other, bodies) > config_.max_spill_dbm) {
       if (probe_rejects_ != nullptr) probe_rejects_->add();
       if (stock_selected_ != nullptr) stock_selected_->add();
       return stock;
@@ -123,21 +117,19 @@ GroupBeam BeamDesigner::design_multicast(
 }
 
 GroupBeam BeamDesigner::design_reflection(
-    const geo::Vec3& position,
-    std::span<const geo::BodyObstacle> bodies) const {
+    const mmwave::LinkTable& links, std::size_t user,
+    std::span<const std::size_t> bodies) const {
   // Try a beam at every bounce point (ignoring bodies along the candidate
   // paths — the whole point is to route around them) and keep the one with
   // the best *achievable* RSS: the geometrically shortest bounce can sit
   // behind the array's element pattern and be useless.
   if (reflection_designs_ != nullptr) reflection_designs_->add();
-  const auto paths = testbed_->channel().paths(
-      testbed_->ap().pose().position, position, {}, testbed_->blockage());
   GroupBeam best{};
-  const geo::Vec3 positions[] = {position};
-  for (const mmwave::Path& path : paths) {
+  const std::size_t members[] = {user};
+  for (const mmwave::LinkPath& path : links.row(user).paths) {
     if (path.line_of_sight) continue;
-    GroupBeam candidate = finish(testbed_->ap().steer(path.tx_direction),
-                                 true, positions, bodies);
+    GroupBeam candidate = finish(mmwave::PhasedArray::steer(path.terms),
+                                 true, links, members, bodies);
     if (best.awv.empty() ||
         candidate.min_member_rss_dbm > best.min_member_rss_dbm)
       best = std::move(candidate);

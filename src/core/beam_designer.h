@@ -53,30 +53,32 @@ struct GroupBeam {
   double multicast_rate_mbps = 0.0;  // lowest common MCS PHY rate * MAC eff
 };
 
-/// Stateless designer bound to a testbed.
+/// Stateless designer bound to a testbed. Every query names its users and
+/// blockers as rows and body indices of a LinkTable built from that same
+/// testbed (Testbed::link_table; the session's per-tick table).
 class BeamDesigner {
  public:
   BeamDesigner(const Testbed& testbed, BeamDesignerConfig config = {});
 
-  /// Unicast beam + achievable goodput for one user at `position`.
-  /// `bodies` are the other people in the room (ground-truth blockage).
+  /// Unicast beam + achievable goodput for row `user`. `bodies` are the
+  /// other people in the room (ground-truth blockage).
   [[nodiscard]] GroupBeam design_unicast(
-      const geo::Vec3& position,
-      std::span<const geo::BodyObstacle> bodies = {}) const;
+      const mmwave::LinkTable& links, std::size_t user,
+      std::span<const std::size_t> bodies = {}) const;
 
-  /// Multicast beam for `positions` (>= 1). `others` are non-member user
-  /// positions used for spill probing.
+  /// Multicast beam for the rows `members` (>= 1). `others` are non-member
+  /// rows used for spill probing.
   [[nodiscard]] GroupBeam design_multicast(
-      std::span<const geo::Vec3> positions,
-      std::span<const geo::BodyObstacle> bodies = {},
-      std::span<const geo::Vec3> others = {}) const;
+      const mmwave::LinkTable& links, std::span<const std::size_t> members,
+      std::span<const std::size_t> bodies = {},
+      std::span<const std::size_t> others = {}) const;
 
   /// A reflection beam for blockage mitigation: steers at the strongest
-  /// non-line-of-sight bounce toward `position` (empty AWV when the room
+  /// non-line-of-sight bounce toward row `user` (empty AWV when the room
   /// offers no reflection).
   [[nodiscard]] GroupBeam design_reflection(
-      const geo::Vec3& position,
-      std::span<const geo::BodyObstacle> bodies = {}) const;
+      const mmwave::LinkTable& links, std::size_t user,
+      std::span<const std::size_t> bodies = {}) const;
 
   [[nodiscard]] const BeamDesignerConfig& config() const noexcept {
     return config_;
@@ -92,14 +94,11 @@ class BeamDesigner {
   obs::Counter* custom_selected_ = nullptr;
   obs::Counter* stock_selected_ = nullptr;
   obs::Counter* probe_rejects_ = nullptr;
-  obs::Counter* rss_evals_ = nullptr;
 
-  [[nodiscard]] double rss(const mmwave::Awv& w, const geo::Vec3& position,
-                           std::span<const geo::BodyObstacle> bodies) const;
   [[nodiscard]] GroupBeam finish(mmwave::Awv awv, bool custom,
-                                 std::span<const geo::Vec3> positions,
-                                 std::span<const geo::BodyObstacle> bodies)
-      const;
+                                 const mmwave::LinkTable& links,
+                                 std::span<const std::size_t> members,
+                                 std::span<const std::size_t> bodies) const;
 };
 
 }  // namespace volcast::core

@@ -26,8 +26,9 @@ std::vector<MitigationAction> BlockageMitigator::plan(
       action.extra_prefetch_frames = config_.prefetch_frames;
 
     if (config_.enable_beam_switch) {
+      const geo::Vec3& position = positions[forecast.user].position;
       const GroupBeam reflection =
-          designer_->design_reflection(positions[forecast.user].position);
+          designer_->design_reflection(testbed_->link_table({&position, 1}), 0);
       const double blocked_rss_estimate =
           (forecast.user < current_rss_dbm.size()
                ? current_rss_dbm[forecast.user]

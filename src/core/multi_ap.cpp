@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "mmwave/link.h"
 
 namespace volcast::core {
 
@@ -32,25 +31,30 @@ MultiApCoordinator::MultiApCoordinator(const TestbedConfig& base,
   }
 }
 
-std::vector<std::size_t> MultiApCoordinator::assign_users(
-    std::span<const geo::Vec3> positions) const {
-  return assign_users(positions, {});
+std::vector<mmwave::LinkTable> MultiApCoordinator::link_tables(
+    std::span<const geo::Vec3> positions,
+    std::span<const geo::BodyObstacle> bodies, obs::Counter* evals) const {
+  std::vector<mmwave::LinkTable> tables;
+  tables.reserve(aps_.size());
+  for (const auto& tb : aps_)
+    tables.push_back(tb->link_table(positions, bodies, evals));
+  return tables;
 }
 
 std::vector<std::size_t> MultiApCoordinator::assign_users(
-    std::span<const geo::Vec3> positions,
+    std::span<const mmwave::LinkTable> links,
     std::span<const bool> available) const {
   std::vector<std::size_t> assignment;
-  assignment.reserve(positions.size());
-  for (const geo::Vec3& pos : positions) {
+  if (links.empty()) return assignment;
+  assignment.reserve(links.front().size());
+  for (std::size_t u = 0; u < links.front().size(); ++u) {
     std::size_t best_ap = 0;
     double best_rss = -std::numeric_limits<double>::infinity();
-    for (std::size_t a = 0; a < aps_.size(); ++a) {
+    for (std::size_t a = 0; a < aps_.size() && a < links.size(); ++a) {
       if (a < available.size() && !available[a]) continue;
-      const Testbed& tb = *aps_[a];
-      const double rss = mmwave::best_beam_rss_dbm(
-          tb.ap(), tb.codebook(), tb.channel(), pos, {}, tb.budget(),
-          tb.blockage());
+      const mmwave::Codebook& codebook = aps_[a]->codebook();
+      const std::size_t sector = codebook.best_beam_toward(links[a].row(u));
+      const double rss = links[a].rss_dbm(codebook.beam(sector), u, {});
       if (rss > best_rss) {
         best_rss = rss;
         best_ap = a;
@@ -62,16 +66,14 @@ std::vector<std::size_t> MultiApCoordinator::assign_users(
 }
 
 double MultiApCoordinator::interference_factor(
-    std::size_t victim_ap, const geo::Vec3& victim_pos, double victim_rss_dbm,
+    std::span<const mmwave::LinkTable> links, std::size_t victim_ap,
+    std::size_t victim, double victim_rss_dbm,
     std::span<const mmwave::Awv> concurrent_beams) const {
   double strongest_interference = -std::numeric_limits<double>::infinity();
-  for (std::size_t a = 0; a < aps_.size() && a < concurrent_beams.size();
+  for (std::size_t a = 0; a < links.size() && a < concurrent_beams.size();
        ++a) {
     if (a == victim_ap || concurrent_beams[a].empty()) continue;
-    const Testbed& tb = *aps_[a];
-    const double leak =
-        mmwave::rss_dbm(tb.ap(), concurrent_beams[a], tb.channel(),
-                        victim_pos, {}, tb.budget(), tb.blockage());
+    const double leak = links[a].rss_dbm(concurrent_beams[a], victim, {});
     strongest_interference = std::max(strongest_interference, leak);
   }
   if (strongest_interference ==

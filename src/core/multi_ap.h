@@ -39,24 +39,29 @@ class MultiApCoordinator {
   }
   [[nodiscard]] const MultiApConfig& config() const noexcept { return config_; }
 
-  /// Assigns each user position to the AP with the strongest unicast RSS.
-  [[nodiscard]] std::vector<std::size_t> assign_users(
-      std::span<const geo::Vec3> positions) const;
-
-  /// Availability-aware assignment: only APs with `available[a]` true are
-  /// candidates (fault tolerance — an AP in outage serves nobody). When no
-  /// AP is available every user keeps index 0; callers must treat a down
-  /// AP's users as unserved.
-  [[nodiscard]] std::vector<std::size_t> assign_users(
+  /// One link-state table per AP for the same room-frame `positions` and
+  /// `bodies` (see mmwave/link_table.h): row u of every table is user u.
+  [[nodiscard]] std::vector<mmwave::LinkTable> link_tables(
       std::span<const geo::Vec3> positions,
-      std::span<const bool> available) const;
+      std::span<const geo::BodyObstacle> bodies = {},
+      obs::Counter* evals = nullptr) const;
 
-  /// Goodput multiplier in [0, 1] for a victim at `victim_pos` served by
+  /// Assigns each row of `links` (one table per AP, from link_tables()) to
+  /// the AP with the strongest unblocked stock-sector RSS. Only APs with
+  /// `available[a]` true are candidates (fault tolerance — an AP in outage
+  /// serves nobody; an empty span means all are up). When no AP is
+  /// available every user keeps index 0; callers must treat a down AP's
+  /// users as unserved.
+  [[nodiscard]] std::vector<std::size_t> assign_users(
+      std::span<const mmwave::LinkTable> links,
+      std::span<const bool> available = {}) const;
+
+  /// Goodput multiplier in [0, 1] for the victim row `victim` served by
   /// `victim_ap` with signal `victim_rss_dbm`, while every other AP
   /// transmits with the given beams (indexed by AP; empty AWVs are idle).
   [[nodiscard]] double interference_factor(
-      std::size_t victim_ap, const geo::Vec3& victim_pos,
-      double victim_rss_dbm,
+      std::span<const mmwave::LinkTable> links, std::size_t victim_ap,
+      std::size_t victim, double victim_rss_dbm,
       std::span<const mmwave::Awv> concurrent_beams) const;
 
  private:

@@ -7,7 +7,6 @@
 
 #include "core/stages/session_state.h"
 #include "core/stages/tick_context.h"
-#include "mmwave/link.h"
 #include "mmwave/sls.h"
 
 namespace volcast::core {
@@ -22,18 +21,33 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
   const auto& ap_up = state.ap_up;
   const auto absent = [&](std::size_t u) { return state.absent(u); };
 
+  // ---- link-state tables: every (AP, user) channel, steering vector and
+  // sector gain of this tick, computed once and read by the rest of the
+  // beam and grouping work -------------------------------------------------
+  obs::Span link_span = ctx.span(obs::Stage::kLink);
+  {
+    std::vector<geo::BodyObstacle> bodies = ctx.bodies;
+    const auto& obstacles = state.injector.obstacles();
+    bodies.insert(bodies.end(), obstacles.begin(), obstacles.end());
+    ctx.links =
+        state.coordinator.link_tables(ctx.room_pos, bodies, state.rss_evals);
+    ctx.blockers.resize(n);
+    for (std::size_t u = 0; u < n; ++u)
+      ctx.blockers[u] = state.blockers([u](std::size_t v) { return v != u; });
+  }
+  const auto& links = ctx.links;
+
   // ---- AP assignment (refreshed every second, and immediately when an AP
   // goes dark or comes back) ----------------------------------------------
   if (state.coordinator.ap_count() > 1 &&
       (ctx.tick % 30 == 0 || ctx.availability_changed)) {
     obs::Span assign_span = ctx.span(obs::Stage::kAssign);
     assign_span.add_cost(n * state.coordinator.ap_count());
-    assignment = state.has_faults
-                     ? state.coordinator.assign_users(
-                           ctx.room_pos,
-                           std::span<const bool>(ap_up.data(),
-                                                 state.coordinator.ap_count()))
-                     : state.coordinator.assign_users(ctx.room_pos);
+    assignment = state.coordinator.assign_users(
+        links, state.has_faults
+                   ? std::span<const bool>(ap_up.data(),
+                                           state.coordinator.ap_count())
+                   : std::span<const bool>());
   }
 
   // Multicast membership tracking: the set of users each AP can serve.
@@ -54,7 +68,6 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
   }
 
   // ---- per-user unicast link state --------------------------------------
-  obs::Span link_span = ctx.span(obs::Stage::kLink);
   ctx.unicast_rate.assign(n, 0.0);
   ctx.unicast_rss.assign(n, -200.0);
   auto& unicast_rate = ctx.unicast_rate;
@@ -93,11 +106,9 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       return;
     }
     const Testbed& tb = state.coordinator.ap(assignment[u]);
-    std::vector<geo::BodyObstacle> others;
-    for (std::size_t v = 0; v < n; ++v)
-      if (v != u && !absent(v)) others.push_back(ctx.bodies[v]);
-    for (const geo::BodyObstacle& o : state.injector.obstacles())
-      others.push_back(o);
+    const mmwave::Codebook& codebook = tb.codebook();
+    const mmwave::LinkTable& link = links[assignment[u]];
+    const std::vector<std::size_t>& others = ctx.blockers[u];
 
     mmwave::Awv serving;
     if (state.has_faults && state.injector.sector_stuck(u)) {
@@ -108,8 +119,8 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         st.was_stuck = true;
         st.stuck_pos = ctx.room_pos[u];
       }
-      serving = tb.codebook().beam(
-          tb.codebook().best_beam_toward(tb.ap(), st.stuck_pos));
+      serving = codebook.beam(codebook.best_beam_toward(
+          tb.link_table({&st.stuck_pos, 1}).row(0)));
       state.fault_fallback[u] = 1;
     } else if (predictive_) {
       users[u].was_stuck = false;
@@ -134,13 +145,11 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         }
       }
       if (use_custom) {
-        serving = state.designers[assignment[u]]
-                      .design_unicast(ctx.room_pos[u], others)
-                      .awv;
+        serving =
+            state.designers[assignment[u]].design_unicast(link, u, others).awv;
       } else {
         // Fallback chain, step 1: the stock sector beam needs no probe.
-        serving = tb.codebook().beam(
-            tb.codebook().best_beam_toward(tb.ap(), ctx.room_pos[u]));
+        serving = codebook.beam(codebook.best_beam_toward(link.row(u)));
         ++tally.fallback_stock_beams;
         push_event(obs::Layer::kMmwave, obs::EventType::kFallbackStockBeam);
         state.fault_fallback[u] = 1;
@@ -152,7 +161,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       auto start_sweep = [&] {
         st.sls_remaining_ticks = std::max(
             1, static_cast<int>(
-                   std::ceil(sls.outage_s(tb.codebook()) * config.fps)));
+                   std::ceil(sls.outage_s(codebook) * config.fps)));
         ++tally.sls_sweeps;
         push_event(obs::Layer::kMmwave, obs::EventType::kSlsSweep);
       };
@@ -160,8 +169,8 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         --st.sls_remaining_ticks;
         ++tally.sls_outage_ticks;
         if (st.sls_remaining_ticks == 0) {
-          st.serving_awv = tb.codebook().beam(
-              tb.codebook().best_beam_toward(tb.ap(), ctx.room_pos[u]));
+          st.serving_awv =
+              codebook.beam(codebook.best_beam_toward(link.row(u)));
         }
         unicast_rss[u] = -200.0;
         unicast_rate[u] = 0.0;
@@ -175,13 +184,9 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
         users[u].predictor.set_phy_state(0.0, users[u].blockage_forecast);
         return;
       }
-      const double serving_rss =
-          mmwave::rss_dbm(tb.ap(), st.serving_awv, tb.channel(),
-                          ctx.room_pos[u], others, tb.budget(), tb.blockage(),
-                          state.rss_evals);
-      const double best_rss = mmwave::best_beam_rss_dbm(
-          tb.ap(), tb.codebook(), tb.channel(), ctx.room_pos[u], others,
-          tb.budget(), tb.blockage(), state.rss_evals);
+      const double serving_rss = link.rss_dbm(st.serving_awv, u, others);
+      const double best_rss = link.rss_dbm(
+          codebook.beam(codebook.best_beam_toward(link.row(u))), u, others);
       // Re-train when the sector went stale — or when the link fell
       // below the usable floor, which a reactive device cannot tell
       // apart from misalignment. Sweeping into a body blockage is
@@ -192,18 +197,12 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       serving = st.serving_awv;  // stale or not, it carries this tick
     }
 
-    double rss = mmwave::rss_dbm(tb.ap(), serving, tb.channel(),
-                                 ctx.room_pos[u], others, tb.budget(),
-                                 tb.blockage(), state.rss_evals) +
-                 ctx.shadow[u];
+    double rss = link.rss_dbm(serving, u, others) + ctx.shadow[u];
     // Reflection override from an earlier mitigation action: use it when
     // it currently beats the (possibly blocked) line of sight.
     if (users[u].reflection_ticks > 0 && !users[u].reflection_awv.empty()) {
       const double refl =
-          mmwave::rss_dbm(tb.ap(), users[u].reflection_awv, tb.channel(),
-                          ctx.room_pos[u], others, tb.budget(), tb.blockage(),
-                          state.rss_evals) +
-          ctx.shadow[u];
+          link.rss_dbm(users[u].reflection_awv, u, others) + ctx.shadow[u];
       if (refl > rss) {
         rss = refl;
         ++tally.reflection_switches;
@@ -216,14 +215,10 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
       // sector, or a fault-spawned obstacle shadows the LoS) — try a
       // reflected path off the room surfaces.
       const GroupBeam refl_beam =
-          state.designers[assignment[u]].design_reflection(ctx.room_pos[u],
-                                                           others);
+          state.designers[assignment[u]].design_reflection(link, u, others);
       if (!refl_beam.awv.empty()) {
         const double refl_rss =
-            mmwave::rss_dbm(tb.ap(), refl_beam.awv, tb.channel(),
-                            ctx.room_pos[u], others, tb.budget(),
-                            tb.blockage(), state.rss_evals) +
-            ctx.shadow[u];
+            link.rss_dbm(refl_beam.awv, u, others) + ctx.shadow[u];
         if (refl_rss > rss) {
           rss = refl_rss;
           ++tally.fallback_reflection_beams;
@@ -235,7 +230,7 @@ void BeamStage::run(SessionState& state, TickContext& ctx) {
     unicast_rate[u] = state.mcs->goodput_mbps(rss);
     if (state.coordinator.ap_count() > 1) {
       unicast_rate[u] *= state.coordinator.interference_factor(
-          assignment[u], ctx.room_pos[u], rss, state.concurrent_beams);
+          links, assignment[u], u, rss, state.concurrent_beams);
     }
     users[u].predictor.set_phy_state(unicast_rate[u],
                                      users[u].blockage_forecast);

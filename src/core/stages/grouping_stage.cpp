@@ -6,7 +6,6 @@
 
 #include "core/stages/session_state.h"
 #include "core/stages/tick_context.h"
-#include "mmwave/link.h"
 #include "viewport/similarity.h"
 
 namespace volcast::core {
@@ -101,40 +100,25 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
       return visible_bits(inter, state.store, frame, group_tier(idx),
                           state.shed.min_lod);
     };
+    const mmwave::LinkTable& links = ctx.links[a];
     auto group_rate_fn = [&](std::span<const std::size_t> idx) {
       if (!config.enable_multicast) return 0.0;
-      std::vector<geo::Vec3> positions;
-      std::vector<geo::Vec3> other_positions;
-      std::vector<geo::BodyObstacle> non_member_bodies;
-      positions.reserve(idx.size());
-      for (std::size_t i : idx) positions.push_back(ctx.room_pos[members[i]]);
-      for (std::size_t u = 0; u < n; ++u) {
-        if (absent(u)) continue;
-        if (std::find_if(idx.begin(), idx.end(), [&](std::size_t i) {
-              return members[i] == u;
-            }) == idx.end()) {
-          other_positions.push_back(ctx.room_pos[u]);
-          non_member_bodies.push_back(ctx.bodies[u]);
-        }
-      }
-      for (const geo::BodyObstacle& o : state.injector.obstacles())
-        non_member_bodies.push_back(o);
+      std::vector<std::size_t> group;
+      group.reserve(idx.size());
+      for (std::size_t i : idx) group.push_back(members[i]);
+      const auto non_member = [&](std::size_t u) {
+        return std::find(group.begin(), group.end(), u) == group.end();
+      };
+      std::vector<std::size_t> others;
+      for (std::size_t u = 0; u < n; ++u)
+        if (!absent(u) && non_member(u)) others.push_back(u);
       const GroupBeam beam = state.designers[a].design_multicast(
-          positions, non_member_bodies, other_positions);
+          links, group, state.blockers(non_member), others);
       // Worst member RSS including that member's shadowing.
       double min_rss = 1e9;
-      for (std::size_t i : idx) {
-        const std::size_t u = members[i];
-        const Testbed& tb = state.coordinator.ap(a);
-        std::vector<geo::BodyObstacle> others;
-        for (std::size_t v = 0; v < n; ++v)
-          if (v != u && !absent(v)) others.push_back(ctx.bodies[v]);
-        for (const geo::BodyObstacle& o : state.injector.obstacles())
-          others.push_back(o);
+      for (const std::size_t u : group) {
         const double rss =
-            mmwave::rss_dbm(tb.ap(), beam.awv, tb.channel(), ctx.room_pos[u],
-                            others, tb.budget(), tb.blockage()) +
-            ctx.shadow[u];
+            links.rss_dbm(beam.awv, u, ctx.blockers[u]) + ctx.shadow[u];
         min_rss = std::min(min_rss, rss);
       }
       return state.mcs->goodput_mbps(min_rss);
@@ -172,8 +156,8 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
             return lhs.size() < rhs.size();
           });
       if (largest->size() == 1) {
-        state.concurrent_beams[a] = state.coordinator.ap(a).ap().steer_at(
-            ctx.room_pos[largest->front()]);
+        const auto steered = links.row(largest->front()).steer_awv;
+        state.concurrent_beams[a].assign(steered.begin(), steered.end());
       }
     } else {
       state.concurrent_beams[a].clear();
@@ -187,17 +171,10 @@ void GroupingStage::run(SessionState& state, TickContext& ctx) {
     state.pool.parallel_for(grouping.groups.size(), [&](std::size_t g) {
       const auto& group = grouping.groups[g];
       if (group.size() < 2) return;
-      std::vector<geo::Vec3> positions;
-      std::vector<geo::BodyObstacle> non_member_bodies;
-      for (std::size_t u : group) positions.push_back(ctx.room_pos[u]);
-      for (std::size_t u = 0; u < n; ++u)
-        if (!absent(u) &&
-            std::find(group.begin(), group.end(), u) == group.end())
-          non_member_bodies.push_back(ctx.bodies[u]);
-      for (const geo::BodyObstacle& o : state.injector.obstacles())
-        non_member_bodies.push_back(o);
-      group_beams[g] =
-          state.designers[a].design_multicast(positions, non_member_bodies, {});
+      group_beams[g] = state.designers[a].design_multicast(
+          links, group, state.blockers([&](std::size_t u) {
+            return std::find(group.begin(), group.end(), u) == group.end();
+          }));
     });
     for (std::size_t g = 0; g < grouping.groups.size(); ++g) {
       if (grouping.groups[g].size() < 2) continue;

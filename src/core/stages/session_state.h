@@ -168,6 +168,20 @@ struct SessionState {
     return has_faults && injector.user_absent(u);
   }
 
+  /// Blocker list for a tick's link tables (bodies = every user's capsule,
+  /// then the fault obstacles): the present users `keep` accepts, in user
+  /// order, then every obstacle — the order the link budget sums in.
+  template <class Keep>
+  [[nodiscard]] std::vector<std::size_t> blockers(Keep keep) const {
+    const std::size_t n = user_count();
+    std::vector<std::size_t> ids;
+    for (std::size_t v = 0; v < n; ++v)
+      if (!absent(v) && keep(v)) ids.push_back(v);
+    for (std::size_t j = 0; j < injector.obstacles().size(); ++j)
+      ids.push_back(n + j);
+    return ids;
+  }
+
  private:
   // The mitigator needs a designer reference at construction; a static
   // placeholder satisfies the constructor before the real one is assigned.

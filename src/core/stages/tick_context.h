@@ -6,7 +6,8 @@
 //
 //   driver       -> tick / t / frame, fault availability flags
 //   Prediction   -> poses, body capsules, shadowing, joint prediction
-//   Beam         -> AP assignment refresh, unicast link state (rate/rss)
+//   Beam         -> link-state tables, AP assignment refresh, unicast link
+//                   state (rate/rss)
 //   Adaptation   -> per-user tier decisions (written into SessionState)
 //   Mitigation   -> prefetch credit / reflection overrides (SessionState)
 //   Grouping     -> per-AP multicast plan (ApPlan)
@@ -20,6 +21,7 @@
 #include "core/session.h"
 #include "geometry/obstacle.h"
 #include "geometry/pose.h"
+#include "mmwave/link_table.h"
 #include "obs/telemetry.h"
 #include "viewport/joint_predictor.h"
 
@@ -52,7 +54,13 @@ struct TickContext {
   std::vector<double> shadow;
   view::JointPrediction prediction;
 
-  // Products of the beam stage (slot per user).
+  // Products of the beam stage. `links` holds one link-state table per AP
+  // (row u = user u) over the body list `bodies` followed by the fault
+  // obstacles; `blockers[u]` lists, in that order, the bodies that shadow
+  // user u's links (every other present user, then every obstacle). Both
+  // are read-only after the beam stage and die with the tick.
+  std::vector<mmwave::LinkTable> links;
+  std::vector<std::vector<std::size_t>> blockers;
   std::vector<double> unicast_rate;
   std::vector<double> unicast_rss;
 

@@ -17,6 +17,13 @@ Testbed::Testbed(TestbedConfig config)
       ap_(config.array, ap_pose(config), channel_.carrier_hz()),
       codebook_(ap_, config.codebook) {}
 
+mmwave::LinkTable Testbed::link_table(
+    std::span<const geo::Vec3> positions,
+    std::span<const geo::BodyObstacle> bodies, obs::Counter* evals) const {
+  return {ap_,       &codebook_, channel_, config_.blockage,
+          config_.budget, positions, bodies, evals};
+}
+
 geo::Pose Testbed::to_room(const geo::Pose& content_local) const {
   geo::Pose out = content_local;
   out.position = to_room(content_local.position);

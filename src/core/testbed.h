@@ -8,6 +8,7 @@
 #include "mmwave/channel.h"
 #include "mmwave/codebook.h"
 #include "mmwave/link.h"
+#include "mmwave/link_table.h"
 #include "mmwave/mcs.h"
 #include "mmwave/phased_array.h"
 
@@ -46,6 +47,13 @@ class Testbed {
   [[nodiscard]] const mmwave::BlockageModel& blockage() const noexcept {
     return config_.blockage;
   }
+
+  /// Link-state rows toward this AP for room-frame `positions`, against
+  /// `bodies` (see mmwave/link_table.h); `evals` counts RSS queries.
+  [[nodiscard]] mmwave::LinkTable link_table(
+      std::span<const geo::Vec3> positions,
+      std::span<const geo::BodyObstacle> bodies = {},
+      obs::Counter* evals = nullptr) const;
 
   /// Translates a pose from content-local coordinates (content at the
   /// origin, as the trace generator produces) into room coordinates.

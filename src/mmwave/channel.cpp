@@ -129,6 +129,7 @@ std::vector<Path> Channel::paths(const geo::Vec3& tx, const geo::Vec3& rx,
         p.line_of_sight = false;
         p.bounces = 2;
         p.bounce_point = bounce_a;
+        p.second_bounce_point = bounce_b;
         p.length_m = (image_ab - tx).norm();
         p.tx_direction = (image_ab - tx).normalized();
         p.extra_loss_db =

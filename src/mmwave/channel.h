@@ -40,6 +40,7 @@ struct Path {
   bool line_of_sight = true;
   int bounces = 0;            // 0 for LoS
   geo::Vec3 bounce_point{};   // first bounce, valid when !line_of_sight
+  geo::Vec3 second_bounce_point{};  // valid when bounces == 2
 };
 
 /// Human blockage with partial degradation (paper Section 5: "blockage does

@@ -1,8 +1,11 @@
 #include "mmwave/codebook.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+
+#include "mmwave/link_table.h"
 
 namespace volcast::mmwave {
 
@@ -60,13 +63,13 @@ Codebook::Codebook(const PhasedArray& array, const CodebookConfig& config) {
   }
 }
 
-std::size_t Codebook::best_beam_toward(const PhasedArray& array,
-                                       const geo::Vec3& target) const {
-  const geo::Vec3 dir = target - array.pose().position;
+std::size_t Codebook::best_beam_toward(const LinkRow& row) const {
+  if (row.codebook_gain.size() != beams_.size())
+    throw std::invalid_argument("Codebook: row has no gains for this codebook");
   std::size_t best = 0;
   double best_gain = -1.0;
   for (std::size_t i = 0; i < beams_.size(); ++i) {
-    const double g = array.gain(beams_[i], dir);
+    const double g = row.codebook_gain[i];
     if (g > best_gain) {
       best_gain = g;
       best = i;
@@ -76,16 +79,18 @@ std::size_t Codebook::best_beam_toward(const PhasedArray& array,
 }
 
 std::size_t Codebook::best_common_beam(
-    const PhasedArray& array, std::span<const geo::Vec3> targets) const {
+    const LinkTable& table, std::span<const std::size_t> users) const {
+  for (const std::size_t u : users)
+    if (table.row(u).codebook_gain.size() != beams_.size())
+      throw std::invalid_argument(
+          "Codebook: row has no gains for this codebook");
   std::size_t best = 0;
   double best_min = -1.0;
   for (std::size_t i = 0; i < beams_.size(); ++i) {
     double min_gain = std::numeric_limits<double>::infinity();
-    for (const geo::Vec3& t : targets) {
-      const double g = array.gain(beams_[i], t - array.pose().position);
-      min_gain = std::min(min_gain, g);
-    }
-    if (targets.empty()) min_gain = 0.0;
+    for (const std::size_t u : users)
+      min_gain = std::min(min_gain, table.row(u).codebook_gain[i]);
+    if (users.empty()) min_gain = 0.0;
     if (min_gain > best_min) {
       best_min = min_gain;
       best = i;

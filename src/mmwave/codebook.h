@@ -15,6 +15,9 @@
 
 namespace volcast::mmwave {
 
+struct LinkRow;
+class LinkTable;
+
 /// Codebook grid parameters (relative to the array boresight).
 struct CodebookConfig {
   double az_min_rad = -1.0471975511965976;  // -60 degrees
@@ -43,15 +46,17 @@ class Codebook {
   }
   [[nodiscard]] std::span<const Awv> beams() const noexcept { return beams_; }
 
-  /// Index of the beam with the highest gain toward a world position
-  /// (the outcome of per-station sector sweep training).
-  [[nodiscard]] std::size_t best_beam_toward(const PhasedArray& array,
-                                             const geo::Vec3& target) const;
+  /// Index of the beam with the highest gain toward the row's position
+  /// (the outcome of per-station sector sweep training), read from the
+  /// row's sector gains; the first of equal gains wins. Throws
+  /// std::invalid_argument when the row holds no gains for this codebook.
+  [[nodiscard]] std::size_t best_beam_toward(const LinkRow& row) const;
 
-  /// Index of the beam maximizing the *minimum* gain over several targets —
-  /// the best the default codebook can do for a multicast group.
+  /// Index of the beam maximizing the *minimum* gain over the table rows
+  /// `users` — the best the default codebook can do for a multicast group.
+  /// Same tie-break and precondition as best_beam_toward().
   [[nodiscard]] std::size_t best_common_beam(
-      const PhasedArray& array, std::span<const geo::Vec3> targets) const;
+      const LinkTable& table, std::span<const std::size_t> users) const;
 
  private:
   std::vector<Awv> beams_;

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/units.h"
-#include "obs/metrics.h"
+#include "mmwave/link_table.h"
 
 namespace volcast::mmwave {
 
@@ -13,21 +12,9 @@ double rss_dbm(const PhasedArray& tx, const Awv& w, const Channel& channel,
                std::span<const geo::BodyObstacle> bodies,
                const LinkBudget& budget, const BlockageModel& blockage,
                obs::Counter* evals) {
-  if (evals != nullptr) evals->add();
-  const auto paths = channel.paths(tx.pose().position, rx_pos, bodies,
-                                   blockage);
-  double total_mw = 0.0;
-  for (const Path& path : paths) {
-    const double gain_db = ratio_to_db(
-        std::max(tx.gain(w, path.tx_direction), 1e-12));
-    const double rx_dbm = budget.tx_power_dbm + gain_db -
-                          channel.fspl_db(path.length_m) -
-                          path.extra_loss_db + budget.rx_gain_dbi -
-                          budget.implementation_loss_db;
-    total_mw += dbm_to_mw(rx_dbm);
-  }
-  if (total_mw <= 0.0) return -200.0;
-  return mw_to_dbm(total_mw);
+  const LinkTable table(tx, nullptr, channel, blockage, budget, {&rx_pos, 1},
+                        bodies, evals);
+  return table.rss_dbm(w, 0, table.all_bodies());
 }
 
 double best_beam_rss_dbm(const PhasedArray& tx, const Codebook& codebook,
@@ -35,9 +22,10 @@ double best_beam_rss_dbm(const PhasedArray& tx, const Codebook& codebook,
                          std::span<const geo::BodyObstacle> bodies,
                          const LinkBudget& budget,
                          const BlockageModel& blockage, obs::Counter* evals) {
-  const std::size_t beam = codebook.best_beam_toward(tx, rx_pos);
-  return rss_dbm(tx, codebook.beam(beam), channel, rx_pos, bodies, budget,
-                 blockage, evals);
+  const LinkTable table(tx, &codebook, channel, blockage, budget, {&rx_pos, 1},
+                        bodies, evals);
+  const std::size_t beam = codebook.best_beam_toward(table.row(0));
+  return table.rss_dbm(codebook.beam(beam), 0, table.all_bodies());
 }
 
 ShadowingProcess::ShadowingProcess(double sigma_db, double coherence_time_s,

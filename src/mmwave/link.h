@@ -32,6 +32,8 @@ struct LinkBudget {
 /// symbol bandwidth decorrelates path phases.)
 /// `evals`, when non-null, counts link-budget evaluations (telemetry; an
 /// atomic bump, safe from parallel lanes and free of RNG interaction).
+/// A one-row LinkTable evaluation (link_table.h); code that queries the
+/// same position more than once should build the table itself.
 [[nodiscard]] double rss_dbm(const PhasedArray& tx, const Awv& w,
                              const Channel& channel, const geo::Vec3& rx_pos,
                              std::span<const geo::BodyObstacle> bodies = {},

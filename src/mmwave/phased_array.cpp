@@ -42,16 +42,28 @@ geo::Vec3 PhasedArray::to_local(const geo::Vec3& dir_world) const noexcept {
   return {u.dot(pose_.forward()), u.dot(pose_.left()), u.dot(pose_.up())};
 }
 
-Awv PhasedArray::steer(const geo::Vec3& dir_world) const {
+double PhasedArray::steering(const geo::Vec3& dir_world,
+                             std::span<Complex> terms) const noexcept {
   const geo::Vec3 local = to_local(dir_world);
   const double k = 2.0 * std::numbers::pi / wavelength_m_;
-  Awv w;
-  w.reserve(elements_local_.size());
-  for (const geo::Vec3& e : elements_local_) {
-    const double phase = k * e.dot(local);
-    // Conjugate steering: cancel the per-element propagation phase.
-    w.emplace_back(std::cos(phase), -std::sin(phase));
+  for (std::size_t i = 0; i < elements_local_.size(); ++i) {
+    const double phase = k * elements_local_[i].dot(local);
+    terms[i] = Complex{std::cos(phase), std::sin(phase)};
   }
+  return element_gain(local.x);
+}
+
+Awv PhasedArray::steer(const geo::Vec3& dir_world) const {
+  std::vector<Complex> terms(elements_local_.size());
+  (void)steering(dir_world, terms);
+  return steer(terms);
+}
+
+Awv PhasedArray::steer(std::span<const Complex> terms) {
+  // Conjugate steering: cancel the per-element propagation phase.
+  Awv w;
+  w.reserve(terms.size());
+  for (const Complex& s : terms) w.push_back(std::conj(s));
   return power_normalized(std::move(w));
 }
 
@@ -67,14 +79,18 @@ double PhasedArray::element_gain(double cos_theta) noexcept {
 
 double PhasedArray::gain(const Awv& w, const geo::Vec3& dir_world) const {
   if (w.size() != elements_local_.size()) return 0.0;
-  const geo::Vec3 local = to_local(dir_world);
-  const double k = 2.0 * std::numbers::pi / wavelength_m_;
+  std::vector<Complex> terms(elements_local_.size());
+  const double element = steering(dir_world, terms);
+  return gain(w, terms, element);
+}
+
+double PhasedArray::gain(std::span<const Complex> w,
+                         std::span<const Complex> terms,
+                         double element_gain) noexcept {
+  if (w.size() != terms.size()) return 0.0;
   Complex af{0.0, 0.0};
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double phase = k * elements_local_[i].dot(local);
-    af += w[i] * Complex{std::cos(phase), std::sin(phase)};
-  }
-  return std::norm(af) * element_gain(local.x);
+  for (std::size_t i = 0; i < w.size(); ++i) af += w[i] * terms[i];
+  return std::norm(af) * element_gain;
 }
 
 double PhasedArray::gain_dbi(const Awv& w, const geo::Vec3& dir_world) const {

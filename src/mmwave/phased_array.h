@@ -10,6 +10,7 @@
 #pragma once
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "geometry/pose.h"
@@ -52,9 +53,21 @@ class PhasedArray {
     return elements_local_.size();
   }
 
+  /// Steering terms toward the world-space direction `dir` (need not be
+  /// normalized): writes s_i = exp(j k e_i . u) for the unit direction u in
+  /// the array frame, one per element, and returns the element pattern
+  /// gain toward u. The only trigonometry in the gain path: the gain of any
+  /// AWV toward that direction is then |sum w_i s_i|^2 * element gain.
+  double steering(const geo::Vec3& dir_world,
+                  std::span<Complex> terms) const noexcept;
+
   /// Conjugate-steering AWV pointed at the world-space direction `dir`
   /// (need not be normalized), power-normalized.
   [[nodiscard]] Awv steer(const geo::Vec3& dir_world) const;
+
+  /// Conjugate-steering AWV for precomputed steering terms: the weights
+  /// conj(s_i), power-normalized (what steer() returns for that direction).
+  [[nodiscard]] static Awv steer(std::span<const Complex> terms);
 
   /// AWV pointed at a world position (steer toward target - array origin).
   [[nodiscard]] Awv steer_at(const geo::Vec3& target_world) const;
@@ -64,6 +77,12 @@ class PhasedArray {
   /// power-normalized conjugate-steered AWV the peak equals
   /// element_count() * element peak gain.
   [[nodiscard]] double gain(const Awv& w, const geo::Vec3& dir_world) const;
+
+  /// The gain kernel: gain of the weights `w` against precomputed steering
+  /// terms and element gain (0 when `w` does not have one weight per term).
+  [[nodiscard]] static double gain(std::span<const Complex> w,
+                                   std::span<const Complex> terms,
+                                   double element_gain) noexcept;
 
   /// gain() in dBi.
   [[nodiscard]] double gain_dbi(const Awv& w, const geo::Vec3& dir_world) const;

@@ -6,6 +6,7 @@
 
 #include "common/units.h"
 #include "mmwave/link.h"
+#include "mmwave/link_table.h"
 
 namespace volcast::mmwave {
 namespace {
@@ -121,7 +122,10 @@ TEST(CombineAwvs, ImprovesMinRssOverCommonSector) {
   const geo::Vec3 u1{2.5, 3.2, 1.5};
   const geo::Vec3 u2{5.8, 2.8, 1.5};
   const geo::Vec3 both[] = {u1, u2};
-  const Awv stock = cb.beam(cb.best_common_beam(s.ap, both));
+  const LinkTable links(s.ap, &cb, s.channel, BlockageModel{}, s.budget,
+                        both, {});
+  const std::size_t pair[] = {0, 1};
+  const Awv stock = cb.beam(cb.best_common_beam(links, pair));
   const double stock_min =
       std::min(rss_dbm(s.ap, stock, s.channel, u1, {}, s.budget),
                rss_dbm(s.ap, stock, s.channel, u2, {}, s.budget));

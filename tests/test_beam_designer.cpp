@@ -17,9 +17,36 @@ struct Fixture {
   }
 };
 
+GroupBeam unicast(const BeamDesigner& designer, const Testbed& testbed,
+                  const geo::Vec3& pos) {
+  return designer.design_unicast(testbed.link_table({&pos, 1}), 0);
+}
+
+/// design_multicast over a table of members then others; every body
+/// blocks.
+GroupBeam multicast(const BeamDesigner& designer, const Testbed& testbed,
+                    std::span<const geo::Vec3> members,
+                    std::span<const geo::BodyObstacle> bodies = {},
+                    std::span<const geo::Vec3> others = {}) {
+  std::vector<geo::Vec3> positions(members.begin(), members.end());
+  positions.insert(positions.end(), others.begin(), others.end());
+  const mmwave::LinkTable links = testbed.link_table(positions, bodies);
+  std::vector<std::size_t> rows(positions.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  const std::span<const std::size_t> all(rows);
+  return designer.design_multicast(links, all.first(members.size()),
+                                   links.all_bodies(),
+                                   all.subspan(members.size()));
+}
+
+GroupBeam reflection_beam(const BeamDesigner& designer, const Testbed& testbed,
+                     const geo::Vec3& pos) {
+  return designer.design_reflection(testbed.link_table({&pos, 1}), 0);
+}
+
 TEST(BeamDesigner, UnicastCustomSteersAtUser) {
   Fixture f;
-  const auto beam = f.designer.design_unicast(f.seat(0.0, 2.0));
+  const auto beam = unicast(f.designer, f.testbed, f.seat(0.0, 2.0));
   EXPECT_TRUE(beam.custom);
   EXPECT_GT(beam.min_member_rss_dbm, -68.0);
   EXPECT_GT(beam.multicast_rate_mbps, 0.0);
@@ -30,7 +57,7 @@ TEST(BeamDesigner, UnicastStockWhenCustomDisabled) {
   BeamDesignerConfig config;
   config.enable_custom_beams = false;
   const BeamDesigner designer(f.testbed, config);
-  const auto beam = designer.design_unicast(f.seat(0.0, 2.0));
+  const auto beam = unicast(designer, f.testbed, f.seat(0.0, 2.0));
   EXPECT_FALSE(beam.custom);
   EXPECT_GT(beam.multicast_rate_mbps, 0.0);
 }
@@ -42,27 +69,28 @@ TEST(BeamDesigner, CustomUnicastAtLeastAsGoodAsStock) {
   const BeamDesigner stock(f.testbed, stock_config);
   for (double angle = -0.9; angle <= 0.9; angle += 0.3) {
     const geo::Vec3 pos = f.seat(angle, 2.2);
-    EXPECT_GE(f.designer.design_unicast(pos).min_member_rss_dbm,
-              stock.design_unicast(pos).min_member_rss_dbm - 0.5);
+    EXPECT_GE(unicast(f.designer, f.testbed, pos).min_member_rss_dbm,
+              unicast(stock, f.testbed, pos).min_member_rss_dbm - 0.5);
   }
 }
 
 TEST(BeamDesigner, MulticastEmptyGroupThrows) {
   Fixture f;
-  EXPECT_THROW((void)f.designer.design_multicast({}), std::invalid_argument);
+  EXPECT_THROW((void)multicast(f.designer, f.testbed, {}),
+               std::invalid_argument);
 }
 
 TEST(BeamDesigner, MulticastSingletonUsesStockSector) {
   Fixture f;
   const geo::Vec3 positions[] = {f.seat(0.0, 2.0)};
-  const auto beam = f.designer.design_multicast(positions);
+  const auto beam = multicast(f.designer, f.testbed, positions);
   EXPECT_FALSE(beam.custom);
 }
 
 TEST(BeamDesigner, SeparatedPairGetsCustomBeam) {
   Fixture f;
   const geo::Vec3 positions[] = {f.seat(-0.9, 2.4), f.seat(0.9, 2.4)};
-  const auto beam = f.designer.design_multicast(positions);
+  const auto beam = multicast(f.designer, f.testbed, positions);
   EXPECT_TRUE(beam.custom);
   // And it must clear the paper's 550K threshold for most seats.
   EXPECT_GT(beam.min_member_rss_dbm, -70.0);
@@ -74,7 +102,7 @@ TEST(BeamDesigner, CloseByPairKeepsStockBeam) {
   // Seats on the AP side of the ring sit near the boresight and get strong
   // stock sectors.
   const geo::Vec3 positions[] = {f.seat(-1.57, 2.0), f.seat(-1.45, 2.0)};
-  const auto beam = f.designer.design_multicast(positions);
+  const auto beam = multicast(f.designer, f.testbed, positions);
   EXPECT_FALSE(beam.custom);
 }
 
@@ -84,8 +112,8 @@ TEST(BeamDesigner, CustomBeatsStockForSeparatedUsers) {
   stock_only.enable_custom_beams = false;
   const BeamDesigner stock(f.testbed, stock_only);
   const geo::Vec3 positions[] = {f.seat(-0.8, 2.2), f.seat(0.8, 2.2)};
-  const auto custom = f.designer.design_multicast(positions);
-  const auto fallback = stock.design_multicast(positions);
+  const auto custom = multicast(f.designer, f.testbed, positions);
+  const auto fallback = multicast(stock, f.testbed, positions);
   EXPECT_GT(custom.min_member_rss_dbm, fallback.min_member_rss_dbm + 2.0);
 }
 
@@ -96,7 +124,7 @@ TEST(BeamDesigner, SpillProbeRejectsInterferingBeam) {
   const BeamDesigner designer(f.testbed, strict);
   const geo::Vec3 positions[] = {f.seat(-0.8, 2.2), f.seat(0.8, 2.2)};
   const std::vector<geo::Vec3> others{f.seat(0.0, 2.0)};
-  const auto beam = designer.design_multicast(positions, {}, others);
+  const auto beam = multicast(designer, f.testbed, positions, {}, others);
   EXPECT_FALSE(beam.custom);  // probe forces the stock fallback
 }
 
@@ -109,16 +137,16 @@ TEST(BeamDesigner, BlockedMemberLowersGroupRate) {
   // the slanted path passes at torso height.
   const geo::Vec3 mid = u1 * 0.75 + f.testbed.ap().pose().position * 0.25;
   const std::vector<geo::BodyObstacle> bodies{{{mid.x, mid.y, 0.0}, 0.3, 1.9}};
-  const auto clear = f.designer.design_multicast(positions);
-  const auto blocked = f.designer.design_multicast(positions, bodies);
+  const auto clear = multicast(f.designer, f.testbed, positions);
+  const auto blocked = multicast(f.designer, f.testbed, positions, bodies);
   EXPECT_LT(blocked.min_member_rss_dbm, clear.min_member_rss_dbm);
 }
 
 TEST(BeamDesigner, ReflectionBeamAvailableAndWeaker) {
   Fixture f;
   const geo::Vec3 pos = f.seat(0.3, 2.0);
-  const auto direct = f.designer.design_unicast(pos);
-  const auto reflection = f.designer.design_reflection(pos);
+  const auto direct = unicast(f.designer, f.testbed, pos);
+  const auto reflection = reflection_beam(f.designer, f.testbed, pos);
   ASSERT_FALSE(reflection.awv.empty());
   EXPECT_LT(reflection.min_member_rss_dbm, direct.min_member_rss_dbm);
   // But still a usable link (the mitigation premise).
@@ -131,7 +159,7 @@ TEST(BeamDesigner, ReflectionEmptyWhenNoWalls) {
   const Testbed testbed(config);
   const BeamDesigner designer(testbed);
   const auto reflection =
-      designer.design_reflection(testbed.to_room({1.5, 0.0, 1.5}));
+      reflection_beam(designer, testbed, testbed.to_room({1.5, 0.0, 1.5}));
   EXPECT_TRUE(reflection.awv.empty());
 }
 
@@ -146,7 +174,7 @@ TEST_P(GroupSizeSweep, MinMemberRssFallsWithGroupSize) {
       const double angle = -0.9 + 1.8 * i / std::max(k - 1, 1);
       positions.push_back(f.seat(angle, 2.2));
     }
-    return f.designer.design_multicast(positions).min_member_rss_dbm;
+    return multicast(f.designer, f.testbed, positions).min_member_rss_dbm;
   };
   EXPECT_LE(group_rss(GetParam()), group_rss(1) + 1.0);
 }

@@ -180,6 +180,26 @@ TEST(Channel, DoubleBouncesLongerThanSingle) {
   EXPECT_GT(min_single, tx.distance(rx));
 }
 
+TEST(Channel, DoubleBouncesUnfoldThroughBothBouncePoints) {
+  // The two bounce points split the path into the three segments the
+  // blockage model shadows; their lengths add up to the unfolded length.
+  Room room;
+  room.max_reflection_order = 2;
+  const Channel ch(room);
+  const geo::Vec3 tx{1, 1, 2.0};
+  const geo::Vec3 rx{6, 4, 1.5};
+  std::size_t doubles = 0;
+  for (const Path& p : ch.paths(tx, rx)) {
+    if (p.bounces != 2) continue;
+    ++doubles;
+    EXPECT_NEAR(tx.distance(p.bounce_point) +
+                    p.bounce_point.distance(p.second_bounce_point) +
+                    p.second_bounce_point.distance(rx),
+                p.length_m, 1e-9);
+  }
+  EXPECT_GT(doubles, 0u);
+}
+
 TEST(Channel, BouncesFieldConsistentWithLoS) {
   Room room;
   room.max_reflection_order = 2;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/units.h"
+#include "mmwave/link_table.h"
 
 namespace volcast::mmwave {
 namespace {
@@ -13,6 +14,25 @@ PhasedArray room_array() {
   // AP on a wall looking into the room along +Y, tilted down slightly.
   const geo::Pose pose = geo::Pose::look_at({4, 0.1, 2.6}, {4, 3, 1.2});
   return PhasedArray({}, pose, kMmWaveCarrierHz);
+}
+
+/// Link-state rows of `targets` carrying `cb`'s sector gains.
+LinkTable sector_rows(const PhasedArray& array, const Codebook& cb,
+                      std::span<const geo::Vec3> targets) {
+  return {array, &cb, Channel{Room{}}, BlockageModel{}, LinkBudget{},
+          targets, {}};
+}
+
+std::size_t best_toward(const PhasedArray& array, const Codebook& cb,
+                        const geo::Vec3& target) {
+  return cb.best_beam_toward(sector_rows(array, cb, {&target, 1}).row(0));
+}
+
+std::size_t best_common(const PhasedArray& array, const Codebook& cb,
+                        std::span<const geo::Vec3> targets) {
+  std::vector<std::size_t> rows(targets.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  return cb.best_common_beam(sector_rows(array, cb, targets), rows);
 }
 
 TEST(Codebook, SizeMatchesGrid) {
@@ -67,7 +87,7 @@ TEST(Codebook, BestBeamPointsNearTarget) {
   const auto array = room_array();
   const Codebook cb(array);
   const geo::Vec3 target{4.0, 3.0, 1.5};
-  const std::size_t best = cb.best_beam_toward(array, target);
+  const std::size_t best = best_toward(array, cb, target);
   const double g_best =
       array.gain(cb.beam(best), target - array.pose().position);
   // The chosen sector must be within a few dB of the strongest entry and
@@ -82,8 +102,8 @@ TEST(Codebook, BestBeamPointsNearTarget) {
 TEST(Codebook, DifferentTargetsPickDifferentSectors) {
   const auto array = room_array();
   const Codebook cb(array);
-  const std::size_t left = cb.best_beam_toward(array, {1.0, 3.0, 1.5});
-  const std::size_t right = cb.best_beam_toward(array, {7.0, 3.0, 1.5});
+  const std::size_t left = best_toward(array, cb, {1.0, 3.0, 1.5});
+  const std::size_t right = best_toward(array, cb, {7.0, 3.0, 1.5});
   EXPECT_NE(left, right);
 }
 
@@ -91,7 +111,7 @@ TEST(Codebook, CommonBeamMaximizesWorstUser) {
   const auto array = room_array();
   const Codebook cb(array);
   const geo::Vec3 users[] = {{2.5, 3.0, 1.5}, {5.5, 3.0, 1.5}};
-  const std::size_t common = cb.best_common_beam(array, users);
+  const std::size_t common = best_common(array, cb, users);
   auto min_gain = [&](std::size_t beam) {
     double m = 1e18;
     for (const auto& u : users)
@@ -108,8 +128,8 @@ TEST(Codebook, CommonBeamForSingleUserMatchesBestBeam) {
   const Codebook cb(array);
   const geo::Vec3 user{3.0, 2.0, 1.5};
   const geo::Vec3 single[] = {user};
-  EXPECT_EQ(cb.best_common_beam(array, single),
-            cb.best_beam_toward(array, user));
+  EXPECT_EQ(best_common(array, cb, single),
+            best_toward(array, cb, user));
 }
 
 TEST(Codebook, SeparatedUsersGetWorseCommonGainThanUnicast) {
@@ -119,10 +139,10 @@ TEST(Codebook, SeparatedUsersGetWorseCommonGainThanUnicast) {
   const geo::Vec3 u1{1.5, 3.0, 1.5};
   const geo::Vec3 u2{6.5, 3.0, 1.5};
   const double unicast_gain =
-      array.gain(cb.beam(cb.best_beam_toward(array, u1)),
+      array.gain(cb.beam(best_toward(array, cb, u1)),
                  u1 - array.pose().position);
   const geo::Vec3 both[] = {u1, u2};
-  const std::size_t common = cb.best_common_beam(array, both);
+  const std::size_t common = best_common(array, cb, both);
   const double common_min =
       std::min(array.gain(cb.beam(common), u1 - array.pose().position),
                array.gain(cb.beam(common), u2 - array.pose().position));

@@ -115,7 +115,7 @@ TEST(MultiApEdges, AssignWithNoPositionsIsEmpty) {
   core::MultiApConfig config;
   config.ap_count = 2;
   const core::MultiApCoordinator coord(core::TestbedConfig{}, config);
-  EXPECT_TRUE(coord.assign_users({}).empty());
+  EXPECT_TRUE(coord.assign_users(coord.link_tables({})).empty());
 }
 
 TEST(MultiApEdges, AllApsDownAssignsEveryoneToZero) {
@@ -124,7 +124,8 @@ TEST(MultiApEdges, AllApsDownAssignsEveryoneToZero) {
   const core::MultiApCoordinator coord(core::TestbedConfig{}, config);
   const std::vector<geo::Vec3> positions{{4.0, 1.2, 1.5}, {4.0, 4.8, 1.5}};
   const std::array<bool, 2> down{false, false};
-  const auto assignment = coord.assign_users(positions, down);
+  const auto assignment =
+      coord.assign_users(coord.link_tables(positions), down);
   ASSERT_EQ(assignment.size(), 2u);
   for (const std::size_t a : assignment) EXPECT_EQ(a, 0u);
 }
@@ -135,7 +136,8 @@ TEST(MultiApEdges, SingleAvailableApTakesAllUsers) {
   const core::MultiApCoordinator coord(core::TestbedConfig{}, config);
   const std::vector<geo::Vec3> positions{{4.0, 1.2, 1.5}, {4.0, 4.8, 1.5}};
   const std::array<bool, 2> only_back{false, true};
-  for (const std::size_t a : coord.assign_users(positions, only_back))
+  for (const std::size_t a :
+       coord.assign_users(coord.link_tables(positions), only_back))
     EXPECT_EQ(a, 1u);
 }
 

@@ -11,6 +11,14 @@ MultiApCoordinator make(std::size_t count) {
   return MultiApCoordinator(TestbedConfig{}, config);
 }
 
+/// interference_factor for a victim of AP 0 at `victim`.
+double interference(const MultiApCoordinator& coord, const geo::Vec3& victim,
+                    double victim_rss_dbm,
+                    std::span<const mmwave::Awv> beams) {
+  return coord.interference_factor(coord.link_tables({&victim, 1}), 0, 0,
+                                   victim_rss_dbm, beams);
+}
+
 TEST(MultiAp, RejectsBadCounts) {
   MultiApConfig zero;
   zero.ap_count = 0;
@@ -38,7 +46,8 @@ TEST(MultiAp, AssignsUsersToNearestStrongAp) {
       {4.0, 1.2, 1.5},  // near the front wall
       {4.0, 4.8, 1.5},  // near the back wall
   };
-  const auto assignment = coord.assign_users(positions);
+  const auto assignment =
+      coord.assign_users(coord.link_tables(positions));
   ASSERT_EQ(assignment.size(), 2u);
   EXPECT_EQ(assignment[0], 0u);
   EXPECT_EQ(assignment[1], 1u);
@@ -47,14 +56,15 @@ TEST(MultiAp, AssignsUsersToNearestStrongAp) {
 TEST(MultiAp, SingleApAssignsEverythingToZero) {
   const auto coord = make(1);
   const std::vector<geo::Vec3> positions{{1, 1, 1.5}, {7, 5, 1.5}};
-  for (auto a : coord.assign_users(positions)) EXPECT_EQ(a, 0u);
+  for (auto a : coord.assign_users(coord.link_tables(positions)))
+    EXPECT_EQ(a, 0u);
 }
 
 TEST(MultiAp, NoConcurrentBeamsNoInterference) {
   const auto coord = make(2);
   const std::vector<mmwave::Awv> idle(2);
   EXPECT_DOUBLE_EQ(
-      coord.interference_factor(0, {4.0, 1.0, 1.5}, -55.0, idle), 1.0);
+      interference(coord, {4.0, 1.0, 1.5}, -55.0, idle), 1.0);
 }
 
 TEST(MultiAp, StrongInterferenceDegradesOrKills) {
@@ -65,7 +75,7 @@ TEST(MultiAp, StrongInterferenceDegradesOrKills) {
   beams[1] = coord.ap(1).ap().steer_at(victim);
   // Weak desired signal vs a beam pointed right at you: factor < 1.
   const double factor =
-      coord.interference_factor(0, victim, -60.0, beams);
+      interference(coord, victim, -60.0, beams);
   EXPECT_LT(factor, 1.0);
 }
 
@@ -77,7 +87,7 @@ TEST(MultiAp, DirectionalityGivesSpatialReuse) {
   std::vector<mmwave::Awv> beams(2);
   beams[1] = coord.ap(1).ap().steer_at({4.0, 5.0, 1.5});
   const double factor =
-      coord.interference_factor(0, victim, -50.0, beams);
+      interference(coord, victim, -50.0, beams);
   EXPECT_DOUBLE_EQ(factor, 1.0);
 }
 
@@ -86,7 +96,7 @@ TEST(MultiAp, VictimApBeamIgnored) {
   const geo::Vec3 victim{4.0, 1.0, 1.5};
   std::vector<mmwave::Awv> beams(2);
   beams[0] = coord.ap(0).ap().steer_at(victim);  // its own serving beam
-  EXPECT_DOUBLE_EQ(coord.interference_factor(0, victim, -50.0, beams), 1.0);
+  EXPECT_DOUBLE_EQ(interference(coord, victim, -50.0, beams), 1.0);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #
 # Modes, selected by the VOLCAST_SANITIZE environment variable:
 #   address;undefined   (default) full suite under ASan + UBSan
-#   thread              TSan over the concurrent paths: the thread pool and
-#                       every test that drives the parallel session pipeline
+#   thread              TSan over the concurrent paths: the thread pool,
+#                       every test that drives the parallel session pipeline,
+#                       and the radio code whose per-tick link-state table
+#                       the beam and group-beam lanes read concurrently
 #                       (the rest of the suite is serial — running it under
 #                       TSan costs hours and checks nothing concurrent)
 #
@@ -18,7 +20,7 @@ MODE="${VOLCAST_SANITIZE:-address;undefined}"
 
 if [[ "$MODE" == "thread" ]]; then
   BUILD_DIR="${1:-build-tsan}"
-  TEST_FILTER=(-R 'ThreadPool|SessionParallel|Session|JointPredictor|VideoStore|Telemetry|ObsMetrics|Fleet|Supervisor|Checkpoint|Transport|TileCache|TilingStage|WorkloadBundle|FrameSoA|Overload|LoadGovernor|Admission|TileCorruption')
+  TEST_FILTER=(-R 'ThreadPool|SessionParallel|Session|JointPredictor|VideoStore|Telemetry|ObsMetrics|Fleet|Supervisor|Checkpoint|Transport|TileCache|TilingStage|WorkloadBundle|FrameSoA|Overload|LoadGovernor|Admission|TileCorruption|LinkTable|BeamDesigner|MultiAp')
 else
   BUILD_DIR="${1:-build-asan}"
   TEST_FILTER=()
