@@ -86,8 +86,9 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
           // Materialize: a resident tile — this session's earlier encode
           // or another fleet slot's — is stitched at the cost of get()'s
           // checksum validation; a miss (cold key, eviction, corruption)
-          // pays the full encode. Wall clock only: the logical
-          // encoded/stitched split above is already settled.
+          // pays the full encode, or waits for the slot already encoding
+          // it. Wall clock only: the logical encoded/stitched split above
+          // is already settled.
           vv::TileKey key;
           key.content = state.tile_content;
           key.frame = static_cast<std::uint32_t>(frame);
@@ -103,7 +104,8 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
             ++cache_hits;
           } else {
             ++cache_misses;
-            (void)state.tile_cache->put(vv::encode_tile(key, bytes));
+            (void)state.tile_cache->encode_once(
+                key, [&] { return vv::encode_tile(key, bytes); });
           }
         }
       }

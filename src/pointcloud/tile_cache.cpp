@@ -209,6 +209,41 @@ std::shared_ptr<const Tile> TileCache::put(Tile tile) {
   return owned;
 }
 
+std::shared_ptr<const Tile> TileCache::encode_once(
+    const TileKey& key, const std::function<Tile()>& encode) {
+  if (frozen()) return std::make_shared<const Tile>(encode());
+  std::shared_ptr<const Tile> resident;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    encoded_.wait(lock, [&] { return !encoding_.contains(key); });
+    const auto it = map_.find(key);
+    if (it != map_.end())
+      resident = it->second.tile;
+    else
+      encoding_.insert(key);
+  }
+  if (resident != nullptr) {
+    if (resident->valid()) return resident;
+    // Corrupted since it was stored: serve a fresh copy and leave the
+    // eviction to the next get().
+    return std::make_shared<const Tile>(encode());
+  }
+  // Encode outside the lock. The key leaves the in-flight set even when
+  // encode() throws, so waiters never hang on it.
+  struct Done {
+    TileCache& cache;
+    const TileKey& key;
+    ~Done() {
+      {
+        std::lock_guard<std::mutex> lock(cache.mu_);
+        cache.encoding_.erase(key);
+      }
+      cache.encoded_.notify_all();
+    }
+  } done{*this, key};
+  return put(encode());
+}
+
 bool TileCache::corrupt(const TileKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);

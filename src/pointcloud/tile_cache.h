@@ -15,7 +15,9 @@
 //    cost scales with distinct viewports, not user count.
 //  * Across fleet slots, run_fleet hands every slot one shared cache; a
 //    slot that needs a tile another slot already encoded validates its
-//    checksum and reuses the payload instead of re-encoding.
+//    checksum and reuses the payload instead of re-encoding. Misses go
+//    through encode_once(), so slots that miss the same key at the same
+//    time encode it once: the others wait for that tile.
 //
 // Determinism: tiles are pure functions of their key, so insert order,
 // races between slots and even eviction change only wall-clock work, never
@@ -32,11 +34,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/fields.h"
@@ -170,6 +175,16 @@ class TileCache {
   /// capacity, nothing is stored and the caller's copy is returned.
   std::shared_ptr<const Tile> put(Tile tile);
 
+  /// The miss path after get() returned null: stores and returns
+  /// `encode()`'s tile for `key`, calling `encode` at most once per key
+  /// across threads at a time. A thread that misses a key another thread
+  /// is already encoding waits for that encode and returns the stored tile
+  /// instead of encoding a duplicate copy; a key that became resident
+  /// meanwhile is returned without encoding. On a frozen cache nothing is
+  /// stored and every caller encodes its own copy.
+  std::shared_ptr<const Tile> encode_once(const TileKey& key,
+                                          const std::function<Tile()>& encode);
+
   /// Fault injection: flips one payload byte of the resident tile for
   /// `key`, keeping the stored checksum — the next get() detects the
   /// mismatch, evicts the entry and reports a miss. Returns false when the
@@ -212,6 +227,8 @@ class TileCache {
   mutable std::mutex mu_;
   std::unordered_map<TileKey, Entry, TileKeyHash> map_;
   std::deque<FifoSlot> fifo_;  // insertion order, front = oldest
+  std::unordered_set<TileKey, TileKeyHash> encoding_;  // keys in flight
+  std::condition_variable encoded_;  // signalled when one leaves encoding_
   std::uint64_t next_seq_ = 0;
   std::size_t bytes_ = 0;
   Stats stats_;

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -274,6 +276,65 @@ TEST(TileCache, FreezeStopsStoresButKeepsServing) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.get(key_of(0, 0, 1)), nullptr);
   EXPECT_EQ(cache.get(key_of(0, 0, 2)), nullptr);
+}
+
+TEST(TileCache, ConcurrentMissesEncodeOnce) {
+  // Four threads miss the same keys at about the same time; each key is
+  // encoded by exactly one of them and the others get that tile.
+  vv::TileCache cache;
+  constexpr int kThreads = 4;
+  constexpr std::uint32_t kKeys = 64;
+  std::atomic<int> encodes{0};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (std::uint32_t k = 0; k < kKeys; ++k) {
+        const vv::TileKey key = key_of(0, 0, k);
+        if (cache.get(key) != nullptr) continue;
+        const auto tile = cache.encode_once(key, [&] {
+          encodes.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          return vv::encode_tile(key, 96);
+        });
+        if (tile == nullptr || tile->key != key || !tile->valid())
+          bad.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(encodes.load(), static_cast<int>(kKeys));
+  EXPECT_EQ(cache.stats().insertions.load(), kKeys);
+}
+
+TEST(TileCache, EncodeOnceServesResidentTilesAndSurvivesThrows) {
+  vv::TileCache cache;
+  const vv::TileKey key = key_of(1, 1, 1);
+  const auto stored = cache.put(vv::encode_tile(key, 40));
+  int encodes = 0;
+  const auto counting = [&] {
+    ++encodes;
+    return vv::encode_tile(key, 40);
+  };
+  EXPECT_EQ(cache.encode_once(key, counting), stored);
+  EXPECT_EQ(encodes, 0);
+
+  // A failed encode releases the key: the next miss encodes normally.
+  const vv::TileKey other = key_of(2, 0, 5);
+  EXPECT_THROW((void)cache.encode_once(
+                   other, []() -> vv::Tile { throw std::runtime_error("x"); }),
+               std::runtime_error);
+  const auto recovered =
+      cache.encode_once(other, [&] { return vv::encode_tile(other, 40); });
+  EXPECT_EQ(cache.get(other), recovered);
+
+  // Frozen: the caller gets its own copy and nothing is stored.
+  cache.freeze();
+  const vv::TileKey cold = key_of(3, 0, 0);
+  EXPECT_NE(cache.encode_once(cold, [&] { return vv::encode_tile(cold, 8); }),
+            nullptr);
+  EXPECT_EQ(cache.get(cold), nullptr);
 }
 
 // --- tiling stage / session determinism ----------------------------------
