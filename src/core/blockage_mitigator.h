@@ -45,7 +45,8 @@ class BlockageMitigator {
                     MitigatorConfig config = {});
 
   /// `forecasts` from JointViewportPredictor; `positions` the predicted
-  /// user positions; `current_rss_dbm` each user's current (unblocked) RSS.
+  /// user poses in room coordinates; `current_rss_dbm` each user's current
+  /// (unblocked) RSS.
   [[nodiscard]] std::vector<MitigationAction> plan(
       std::span<const view::BlockageForecast> forecasts,
       std::span<const geo::Pose> positions,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/stages/mitigation_stage.h"
+#include "core/stages/session_state.h"
+#include "core/stages/tick_context.h"
+
 namespace volcast::core {
 namespace {
 
@@ -115,6 +119,33 @@ TEST(Mitigator, PrefetchDepthFromConfig) {
   const auto actions = m.plan(fc, poses, rss);
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0].extra_prefetch_frames, 9u);
+}
+
+TEST(MitigationStage, ReflectionAimsAtRoomFramePrediction) {
+  // The joint predictor's poses are content-local; the installed
+  // reflection beam must be the one designed for the room-frame position.
+  SessionConfig config;
+  config.user_count = 2;
+  config.master_points = 40'000;
+  config.video_frames = 30;
+  SessionState state(config);
+  TickContext ctx;
+  ctx.prediction.poses = {
+      geo::Pose::look_at({2.0, 0.0, 1.5}, {0, 0, 1.1}),
+      geo::Pose::look_at({2.0, 1.0, 1.5}, {0, 0, 1.1})};
+  ctx.prediction.blockages = {forecast(0, 1)};
+  // A weak current link: any reflection beats its blocked estimate.
+  ctx.unicast_rss = {-90.0, -90.0};
+  MitigationStage(true).run(state, ctx);
+
+  const Testbed& tb = state.coordinator.ap(0);
+  const geo::Vec3 room = tb.to_room(ctx.prediction.poses[0].position);
+  const GroupBeam expected =
+      state.designers.front().design_reflection(tb.link_table({&room, 1}), 0);
+  ASSERT_FALSE(expected.awv.empty());
+  EXPECT_GT(state.users[0].reflection_ticks, 0);
+  EXPECT_EQ(state.users[0].reflection_awv, expected.awv);
+  EXPECT_TRUE(state.users[1].reflection_awv.empty());
 }
 
 }  // namespace
