@@ -39,7 +39,7 @@ void PredictionStage::run(SessionState& state, TickContext& ctx) {
   obs::Span predict_span = ctx.span(obs::Stage::kPredict);
   ctx.target_frame = (ctx.tick + state.horizon_ticks) % config.video_frames;
   ctx.prediction = state.joint.predict(config.prediction_horizon_s, state.grid,
-                                       state.occupancy[ctx.target_frame]);
+                                       state.occupancy(ctx.target_frame));
   for (std::size_t u = 0; u < n; ++u) state.users[u].blockage_forecast = false;
   for (const auto& forecast : ctx.prediction.blockages) {
     if (forecast.user < n) state.users[forecast.user].blockage_forecast = true;

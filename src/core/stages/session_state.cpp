@@ -56,7 +56,6 @@ SessionState::SessionState(SessionConfig c)
       generator(bundle->generator()),
       grid(bundle->grid()),
       store(bundle->store()),
-      occupancy(bundle->occupancy()),
       joint(c.user_count, joint_config(c, coordinator.ap(0), &pool)),
       mitigator(coordinator.ap(0),
                 designers_placeholder(),  // replaced below

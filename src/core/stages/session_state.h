@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/stats.h"
@@ -46,8 +47,6 @@ struct SessionState {
   const vv::VideoGenerator& generator;
   const vv::CellGrid& grid;
   const vv::VideoStore& store;
-  // Per-video-frame occupancy at the top tier (drives visibility).
-  const std::vector<std::vector<std::uint32_t>>& occupancy;
   view::JointViewportPredictor joint;
   std::vector<BeamDesigner> designers;  // one per AP
   BlockageMitigator mitigator;
@@ -161,6 +160,13 @@ struct SessionState {
 
   [[nodiscard]] std::size_t user_count() const noexcept {
     return config.user_count;
+  }
+
+  /// Top-tier per-cell point counts of one video frame (drives
+  /// visibility): the store's own row, not a copy.
+  [[nodiscard]] std::span<const std::uint32_t> occupancy(
+      std::size_t frame) const {
+    return store.points(frame, store.tier_count() - 1);
   }
 
   /// Is this user churned out of the room this tick?

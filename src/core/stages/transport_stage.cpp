@@ -274,7 +274,7 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
         }
       }
       const auto actual = view::compute_visibility(
-          state.grid, state.occupancy[frame], ctx.local_poses[u],
+          state.grid, state.occupancy(frame), ctx.local_poses[u],
           state.joint.config().visibility, local_bodies);
       std::size_t needed = 0;
       std::size_t missed = 0;

@@ -2,8 +2,8 @@
 // sessions.
 //
 // Per-session setup (generating the video, precomputing the codec size
-// tables and octrees, deriving the per-frame occupancy that drives
-// visibility) costs ~0.24-0.32 s — which dwarfs run time for short
+// tables, whose top-tier point counts are the per-frame occupancy that
+// drives visibility) costs ~0.24-0.32 s — which dwarfs run time for short
 // sessions and scales fleet serial time linearly with slot count. But all
 // of those artifacts are pure functions of the *workload identity* (video
 // seed, point budget, frame count, fps, cell size), not of the audience:
@@ -12,8 +12,8 @@
 // frozen artifact set built once per fleet and read concurrently by every
 // slot — the same encode-once/serve-many amortization the tile cache
 // applies to the wire, applied to the setup path. The store build runs on
-// vv::FrameSoA columns (DESIGN.md §11); its tables are pinned by the
-// session goldens.
+// vv::FrameSoA columns in one pass per frame (DESIGN.md §11); its tables
+// are pinned by VideoStore.SizeTablesArePinned and the session goldens.
 //
 // Ownership / copy-on-write rules:
 //  * The bundle is built (or installed) while unfrozen, then freeze()d.
@@ -37,8 +37,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "pointcloud/cell_grid.h"
 #include "pointcloud/video_generator.h"
@@ -50,7 +48,7 @@ struct SessionConfig;  // core/session.h
 
 /// Identity of one workload's immutable artifact set: every SessionConfig
 /// field that determines the generated video, the cell grid, the codec
-/// size tables and the occupancy precompute — and nothing else. Two
+/// size tables (occupancy included) — and nothing else. Two
 /// configs with equal keys produce byte-identical artifacts and may share
 /// one bundle; audience fields (users, seeds beyond the video seed,
 /// ablation switches, policies) deliberately do not participate.
@@ -94,7 +92,7 @@ class WorkloadBundle {
   WorkloadBundle(const WorkloadBundle&) = delete;
   WorkloadBundle& operator=(const WorkloadBundle&) = delete;
 
-  /// Builds video + store + occupancy from the key, in one call: exactly
+  /// Builds video + grid + store from the key, in one call: exactly
   /// the tables SessionState used to build per session, bit-identical at
   /// any worker thread count. Throws std::logic_error once frozen.
   void build_artifacts(std::size_t worker_threads = 1);
@@ -104,9 +102,6 @@ class WorkloadBundle {
   void install_video(std::unique_ptr<vv::VideoGenerator> generator,
                      std::unique_ptr<vv::CellGrid> grid,
                      std::unique_ptr<vv::VideoStore> store);
-  /// Installs the per-frame top-tier occupancy tables (visibility
-  /// precompute). Throws std::logic_error once frozen.
-  void install_occupancy(std::vector<std::vector<std::uint32_t>> occupancy);
 
   /// Seals the bundle: mutators throw from now on, const accessors are
   /// free-threaded. Throws std::logic_error when artifacts are missing —
@@ -131,11 +126,6 @@ class WorkloadBundle {
   [[nodiscard]] const vv::VideoGenerator& generator() const;
   [[nodiscard]] const vv::CellGrid& grid() const;
   [[nodiscard]] const vv::VideoStore& store() const;
-  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& occupancy()
-      const;
-  /// Top-tier occupancy row of one video frame.
-  [[nodiscard]] std::span<const std::uint32_t> occupancy(
-      std::size_t frame) const;
 
   /// Process-lifetime count of build_artifacts() calls — the "peak bundle
   /// builds == 1" observability hook the fleet tests assert through.
@@ -151,8 +141,6 @@ class WorkloadBundle {
   std::unique_ptr<vv::VideoGenerator> generator_;
   std::unique_ptr<vv::CellGrid> grid_;
   std::unique_ptr<vv::VideoStore> store_;
-  std::vector<std::vector<std::uint32_t>> occupancy_;
-  bool has_occupancy_ = false;
 };
 
 }  // namespace volcast::core

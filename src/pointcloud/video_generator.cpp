@@ -135,15 +135,12 @@ FrameSoA thin(const FrameSoA& frame, double fraction) {
   if (fraction >= 1.0) return frame;
   FrameSoA out;
   if (fraction <= 0.0) return out;
-  const auto threshold = static_cast<std::uint32_t>(
-      fraction * 4294967296.0);
+  const ThinRule rule(fraction);
   out.reserve(static_cast<std::size_t>(
       fraction * static_cast<double>(frame.size())));
   const std::span<const std::uint8_t> rgb = frame.rgb();
   for (std::uint32_t i = 0; i < frame.size(); ++i) {
-    // Knuth multiplicative hash of the index: stable, order-free thinning.
-    const std::uint32_t h = i * 2654435761u;
-    if (h < threshold)
+    if (rule.keeps(i))
       out.push_back(frame.position(i), rgb[3 * i], rgb[3 * i + 1],
                     rgb[3 * i + 2]);
   }

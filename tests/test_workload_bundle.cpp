@@ -79,13 +79,11 @@ TEST(WorkloadBundle, MutationAfterFreezeThrows) {
   bundle.freeze();
   EXPECT_TRUE(bundle.frozen());
   EXPECT_THROW(bundle.build_artifacts(1), std::logic_error);
-  EXPECT_THROW(bundle.install_occupancy({}), std::logic_error);
   EXPECT_THROW(bundle.install_video(nullptr, nullptr, nullptr),
                std::logic_error);
   EXPECT_THROW(bundle.freeze(), std::logic_error);
   // Const accessors keep working after the latch.
   EXPECT_GT(bundle.store().tier_count(), 0u);
-  EXPECT_EQ(bundle.occupancy().size(), small_config().video_frames);
 }
 
 TEST(WorkloadBundle, FreezeWithoutArtifactsThrows) {
@@ -99,7 +97,6 @@ TEST(WorkloadBundle, AccessorsBeforeBuildThrow) {
   EXPECT_THROW((void)bundle.generator(), std::logic_error);
   EXPECT_THROW((void)bundle.grid(), std::logic_error);
   EXPECT_THROW((void)bundle.store(), std::logic_error);
-  EXPECT_THROW((void)bundle.occupancy(), std::logic_error);
 }
 
 TEST(WorkloadBundle, SessionRejectsAnUnfrozenBundle) {
