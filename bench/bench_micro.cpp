@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: codec
-// encode/decode, tile encode and checksum, frustum culling, visibility
+// encode/decode, the workload's size-table build, tile encode and
+// checksum, frustum culling, visibility
 // computation, beam gain evaluation, the per-tick link-state table, AWV
 // synthesis and the grouping search.
 // These are the budgets that decide whether the cross-layer scheduler can
@@ -17,6 +18,7 @@
 #include "pointcloud/octree_codec.h"
 #include "pointcloud/tile_cache.h"
 #include "pointcloud/video_generator.h"
+#include "pointcloud/video_store.h"
 #include "viewport/similarity.h"
 #include "viewport/visibility.h"
 
@@ -100,6 +102,27 @@ void BM_OctreeDecode(benchmark::State& state) {
       static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_OctreeDecode)->Arg(100'000);
+
+// The size tables a session's workload bundle builds (SessionConfig
+// defaults: 120K master points, 60 frames, 0.5 m cells, the paper's tier
+// ladder scaled to the master, one exactly encoded sample frame), serially.
+void BM_VideoStoreBuild(benchmark::State& state) {
+  vv::VideoConfig vc;
+  vc.points_per_frame = 120'000;
+  vc.frame_count = 60;
+  const vv::VideoGenerator gen(vc);
+  const vv::CellGrid grid(gen.content_bounds(), 0.5);
+  vv::VideoStoreConfig sc;
+  sc.tiers = {{"low", 72'000}, {"med", 93'818}, {"high", 120'000}};
+  sc.sample_frames = 1;
+  for (auto _ : state) {
+    const vv::VideoStore store(gen, grid, sc);
+    benchmark::DoNotOptimize(store.frame_bytes(0, 0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(vc.frame_count));
+}
+BENCHMARK(BM_VideoStoreBuild)->Unit(benchmark::kMillisecond);
 
 vv::TileKey bench_tile_key() {
   vv::TileKey key;
