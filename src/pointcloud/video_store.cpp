@@ -262,7 +262,17 @@ class Reader {
 }  // namespace
 
 std::vector<std::uint8_t> VideoStore::serialize() const {
+  // Header (magic, version, fps, three counts), tier records, both size
+  // tables and the checksum, sized up front: one allocation, and no
+  // growth from an empty vector for GCC's -Wstringop-overflow to misread.
+  std::size_t size = sizeof kStoreMagic + 4 + 8 + 4 + 4 + 8 + 8;
+  for (const QualityTier& tier : config_.tiers)
+    size += 4 + tier.name.size() + 8;
+  for (const FrameSizes& frame : frames_)
+    for (std::size_t q = 0; q < config_.tiers.size(); ++q)
+      size += 4 * (frame.bytes.at(q).size() + frame.points.at(q).size());
   std::vector<std::uint8_t> out;
+  out.reserve(size);
   for (std::uint8_t b : kStoreMagic) out.push_back(b);
   put_u32(out, kStoreVersion);
   common::put_f64(out, fps_);
