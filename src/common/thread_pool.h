@@ -1,7 +1,8 @@
 // Fixed-size worker pool with a deterministic parallel_for primitive.
 //
-// The per-frame scheduler must produce bit-identical results for any thread
-// count, so parallel_for makes only one guarantee interesting to callers:
+// Its callers (the video-store build, the fleet runner) must produce
+// bit-identical results for any thread count, so parallel_for makes only
+// one guarantee interesting to callers:
 // fn(i) is invoked exactly once for every i in [0, n), with results expected
 // to land in pre-sized per-index slots. The index range is partitioned into
 // min(thread_count, n) contiguous chunks; which OS thread executes which

@@ -246,11 +246,10 @@ FleetResult run_fleet_impl(const FleetConfig& config) {
   };
 
   {
-    // Sessions are heavyweight (each precomputes its video store), so the
-    // pool fans out whole sessions via per-slot task claiming; each writes
-    // only its own slot. Inner session parallelism multiplies with this —
-    // for large fleets prefer session.worker_threads = 1 and let the fleet
-    // dimension scale.
+    // The pool fans out whole sessions via per-slot task claiming; each
+    // writes only its own slot. A session's per-tick pipeline is serial,
+    // and session.worker_threads sizes only the pool of a slot that builds
+    // a private bundle (none when the slots share one).
     common::ThreadPool pool(config.parallel_sessions);
     pool.parallel_tasks(config.sessions, run_slot);
   }

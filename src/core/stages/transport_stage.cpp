@@ -1,7 +1,6 @@
 #include "core/stages/transport_stage.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -259,13 +258,7 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
     // Viewport-prediction quality: what fraction of the cells each member
     // actually needs (at its true pose) did the prediction-driven fetch
     // miss?
-    // Ground-truth visibility per member is another full visibility
-    // computation: fan out into (needed, missed) slots, then fold into
-    // the per-user running sums serially, in member order.
-    std::vector<std::pair<std::size_t, std::size_t>> miss_tally(
-        members.size());
-    state.pool.parallel_for(members.size(), [&](std::size_t i) {
-      const std::size_t u = members[i];
+    for (const std::size_t u : members) {
       std::vector<geo::BodyObstacle> local_bodies;
       if (config.enable_user_occlusion) {
         for (std::size_t v = 0; v < n; ++v) {
@@ -283,14 +276,10 @@ void TransportStage::run(SessionState& state, TickContext& ctx) {
         ++needed;
         if (!ctx.prediction.visibility[u].visible(cell)) ++missed;
       }
-      miss_tally[i] = {needed, missed};
-    });
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const auto [needed, missed] = miss_tally[i];
       if (needed > 0) {
-        users[members[i]].miss_sum +=
+        users[u].miss_sum +=
             static_cast<double>(missed) / static_cast<double>(needed);
-        ++users[members[i]].miss_count;
+        ++users[u].miss_count;
       }
     }
   }

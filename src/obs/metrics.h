@@ -2,8 +2,7 @@
 //
 // Counters and histograms are the only primitives allowed inside parallel
 // regions: both are commutative (relaxed atomic adds), so their final
-// values are bit-identical for any worker_threads value — exactly the
-// determinism discipline of the session pipeline. Gauges are last-write
+// values do not depend on how increments interleave. Gauges are last-write
 // and must only be set from serial code. The registry itself (name ->
 // metric creation) is NOT thread-safe: fetch metric handles from serial
 // code, bump them from anywhere.

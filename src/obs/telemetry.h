@@ -5,12 +5,11 @@
 //  * Disabled means a null `Telemetry*`: every hook degrades to one pointer
 //    test, no clock reads, no allocation. SessionResult is bit-identical
 //    with telemetry on or off.
-//  * Recording (record_span / record_event / append) is serial-only: the
-//    session loop records on the main thread, and parallel lanes collect
-//    into per-slot EventBuffers merged in index order afterwards — the same
-//    discipline the parallel pipeline uses for counters. Metric counters
-//    and histograms (obs/metrics.h) are the only primitives bumped from
-//    inside parallel regions.
+//  * Recording (record_span / record_event) is single-threaded: a
+//    session's per-tick pipeline runs serially, so spans and events land
+//    in tick and stage order. Metric counters and histograms
+//    (obs/metrics.h) are atomic and commutative, the only primitives safe
+//    to bump from more than one thread.
 //  * Every record carries a deterministic logical cost (workload-derived,
 //    identical across machines and thread counts); wall time is an optional
 //    extra field, and the JSONL stream with wall capture off — or with the
@@ -20,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -100,10 +98,6 @@ struct Event {
   bool has_value = false;
 };
 
-/// Per-slot event collector for parallel lanes; merged serially via
-/// Telemetry::append in index order.
-using EventBuffer = std::vector<Event>;
-
 /// One completed stage span.
 struct SpanRecord {
   std::uint32_t tick = 0;
@@ -148,11 +142,9 @@ class Telemetry {
 
   void begin_session(const SessionMeta& meta);
 
-  /// Serial-only recording (see file comment).
+  /// Single-threaded recording (see file comment).
   void record_span(const SpanRecord& span);
   void record_event(const Event& event);
-  /// Serial index-order merge of a parallel lane's buffer.
-  void append(std::span<const Event> events);
 
   [[nodiscard]] std::size_t span_count() const noexcept {
     return span_count_;

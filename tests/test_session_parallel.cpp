@@ -1,6 +1,8 @@
-// The determinism contract of SessionConfig::worker_threads: the parallel
-// pipeline writes per-index slots and reduces serially, so a session's
-// outcome must be bit-for-bit identical for every thread count.
+// The determinism contract of SessionConfig::worker_threads: it sizes only
+// the pool that builds the session's workload bundle (the video-store size
+// tables), which are bit-identical at any pool size, and the per-tick
+// pipeline runs serially. So a session's outcome must be bit-for-bit
+// identical for every thread count.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -30,7 +32,7 @@ SessionResult run_with_threads(SessionConfig c, std::size_t threads) {
 
 // The heaviest config in the test suite: multi-AP, chaos fault plan at
 // intensity 1.5 — every fallback path in the pipeline fires, so every
-// parallelized tally is exercised.
+// fault tally is exercised.
 SessionConfig chaos_config() {
   SessionConfig c = fast_config();
   c.ap_count = 2;
