@@ -6,11 +6,12 @@
 # Modes, selected by the VOLCAST_SANITIZE environment variable:
 #   address;undefined   (default) full suite under ASan + UBSan
 #   thread              TSan over the concurrent paths: the thread pool,
-#                       every test that drives the parallel session pipeline,
-#                       and the radio code whose per-tick link-state table
-#                       the beam and group-beam lanes read concurrently
-#                       (the rest of the suite is serial — running it under
-#                       TSan costs hours and checks nothing concurrent)
+#                       the parallel store build, the fleet's parallel
+#                       sessions and the tile cache they share, plus the
+#                       session tests that vary worker_threads (a session's
+#                       per-tick pipeline itself is serial; the rest of the
+#                       suite is too — running it under TSan costs hours
+#                       and checks nothing concurrent)
 #
 #   tools/ci_sanitize.sh [build-dir]      # default: build-asan / build-tsan
 set -euo pipefail
