@@ -26,9 +26,11 @@ std::vector<MitigationAction> BlockageMitigator::plan(
       action.extra_prefetch_frames = config_.prefetch_frames;
 
     if (config_.enable_beam_switch) {
+      // design_reflection reads only the row's paths and body losses, so
+      // the row skips the codebook's sector gains and steered AWV.
       const geo::Vec3& position = positions[forecast.user].position;
       const GroupBeam reflection =
-          designer_->design_reflection(testbed_->link_table({&position, 1}), 0);
+          designer_->design_reflection(testbed_->path_table({&position, 1}), 0);
       const double blocked_rss_estimate =
           (forecast.user < current_rss_dbm.size()
                ? current_rss_dbm[forecast.user]

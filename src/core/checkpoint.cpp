@@ -306,8 +306,17 @@ std::uint64_t fleet_fingerprint(const FleetConfig& config) {
 
 std::vector<std::uint8_t> serialize_checkpoint(
     const FleetCheckpoint& checkpoint) {
+  // Sized up front (user rows are the only growth) and the magic pushed
+  // byte by byte, little-endian as put_u32 writes it: GCC 12's
+  // -Wstringop-overflow misreads a first memmove into an empty vector.
+  const std::size_t body_floor = encoded_size<SessionResult>();
+  std::size_t size = 4 + 4 + 8 + 8 + 4 + 4 + 8;
+  for (const SlotRecord& rec : checkpoint.records)
+    size += kRecordPrefixBytes + rec.outcome.message.size() + body_floor;
   std::vector<std::uint8_t> out;
-  put_u32(out, kCheckpointMagic);
+  out.reserve(size);
+  for (int shift = 0; shift < 32; shift += 8)
+    out.push_back(static_cast<std::uint8_t>(kCheckpointMagic >> shift));
   put_u32(out, kCheckpointVersion);
   put_u64(out, checkpoint.fingerprint);
   put_u64(out, checkpoint.bundle_hash);

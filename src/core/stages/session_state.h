@@ -112,10 +112,13 @@ struct SessionState {
   std::vector<double> recovery_samples;
 
   // Tiling-stage state. `tiles` is the deterministic logical report
-  // (first-touch accounting; see tiling_stage.h); the cache pointers and
-  // the seen-bitmap are lazily initialized on the stage's first tick.
+  // (first-touch accounting; see tiling_stage.h); the cache pointers, the
+  // seen-bitmap and the tick-local fetched marks (one per (tier, cell) of
+  // the tick's frame, cleared each tick) are lazily initialized on the
+  // stage's first tick.
   vv::TileReport tiles;
   std::vector<char> tile_seen;
+  std::vector<char> tile_fetched;
   std::uint64_t tile_content = 0;
   std::uint64_t video_seed = 0;
   vv::TileCache* tile_cache = nullptr;  // external (fleet-shared) or local

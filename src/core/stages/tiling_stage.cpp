@@ -1,5 +1,6 @@
 #include "core/stages/tiling_stage.h"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -38,12 +39,15 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
         state.config.video_frames, state.config.cell_size_m, tier_points);
     state.tile_seen.assign(state.config.video_frames * tier_count * cell_count,
                            0);
+    state.tile_fetched.assign(tier_count * cell_count, 0);
     state.tile_cache = state.config.tile_cache;
     if (state.tile_cache == nullptr) {
       state.local_tile_cache = std::make_unique<vv::TileCache>();
       state.tile_cache = state.local_tile_cache.get();
     }
   }
+  if (shared_)
+    std::fill(state.tile_fetched.begin(), state.tile_fetched.end(), 0);
 
   for (std::size_t a = 0; a < state.coordinator.ap_count(); ++a) {
     if (!ctx.ap_plans[a].active) continue;
@@ -83,12 +87,20 @@ void TilingStage::run(SessionState& state, TickContext& ctx) {
             ++state.tiles.stitched_tiles;
             state.tiles.stitched_bytes += bytes;
           }
-          // Materialize: a resident tile — this session's earlier encode
-          // or another fleet slot's — is stitched at the cost of get()'s
+          // Materialize, once per key per tick: a repeat of a key this
+          // tick already fetched reuses that validated tile. The first
+          // fetch of a resident tile — this session's earlier encode or
+          // another fleet slot's — is stitched at the cost of get()'s
           // checksum validation; a miss (cold key, eviction, corruption)
           // pays the full encode, or waits for the slot already encoding
           // it. Wall clock only: the logical encoded/stitched split above
           // is already settled.
+          char& fetched = state.tile_fetched[tier * cell_count + cell];
+          if (fetched) {
+            ++cache_hits;
+            continue;
+          }
+          fetched = 1;
           vv::TileKey key;
           key.content = state.tile_content;
           key.frame = static_cast<std::uint32_t>(frame);

@@ -13,7 +13,17 @@
 //    (into the shared TileCache when one is attached, else into a
 //    session-local cache); every repeat — another user in the group, a
 //    later tick of the same looped frame — *stitches* the cached bitstream
-//    at ~1/4 the cost.
+//    at the cost of one checksum pass, ~9-13x cheaper than an encode
+//    (bench_micro BM_TileChecksum vs BM_TileEncode).
+//
+// Tick-local mark: a group's frame goes on air once, so its tiles are
+// materialized once per tick. A per-(tier, cell) mark for the tick's frame
+// (SessionState::tile_fetched, sized on the first tick, cleared each tick
+// without allocating) lets only the first request for a key go through
+// TileCache::get / encode_once; every repeat that tick reuses the tile
+// already validated and counts as a `tile.cache_hits`, so hits + misses
+// still equals the tiles materialized. A tile another fleet slot corrupts
+// mid-tick is therefore caught at this session's next tick's first fetch.
 //
 // Determinism: the encoded/stitched split comes from a session-local
 // first-touch bitmap, never from cache probe outcomes, so SessionResult is

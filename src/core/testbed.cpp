@@ -24,6 +24,12 @@ mmwave::LinkTable Testbed::link_table(
           config_.budget, positions, bodies, evals};
 }
 
+mmwave::LinkTable Testbed::path_table(
+    std::span<const geo::Vec3> positions) const {
+  return {ap_, nullptr, channel_, config_.blockage, config_.budget, positions,
+          {}};
+}
+
 geo::Pose Testbed::to_room(const geo::Pose& content_local) const {
   geo::Pose out = content_local;
   out.position = to_room(content_local.position);

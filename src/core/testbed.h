@@ -55,6 +55,12 @@ class Testbed {
       std::span<const geo::BodyObstacle> bodies = {},
       obs::Counter* evals = nullptr) const;
 
+  /// Link-state rows without the codebook: paths and body losses only (no
+  /// sector gains, no steered AWV). Enough for rss_dbm() and reflection
+  /// design, which never read the rest, and much cheaper to build.
+  [[nodiscard]] mmwave::LinkTable path_table(
+      std::span<const geo::Vec3> positions) const;
+
   /// Translates a pose from content-local coordinates (content at the
   /// origin, as the trace generator produces) into room coordinates.
   [[nodiscard]] geo::Pose to_room(const geo::Pose& content_local) const;

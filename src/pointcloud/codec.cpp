@@ -105,7 +105,7 @@ std::vector<std::uint8_t> encode(const FrameSoA& frame,
 
   std::vector<std::uint8_t> out;
   out.reserve(kCodecHeaderBytes + n * 3);
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  for (const std::uint8_t b : kMagic) out.push_back(b);
   put_u32(out, static_cast<std::uint32_t>(n));
   out.push_back(static_cast<std::uint8_t>(quant_bits));
   out.push_back(config.encode_colors ? 1 : 0);

@@ -138,7 +138,7 @@ std::vector<std::uint8_t> octree_encode(const FrameSoA& frame,
 
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + voxels.size());
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  for (const std::uint8_t b : kMagic) out.push_back(b);
   put_u32(out, static_cast<std::uint32_t>(voxels.size()));
   out.push_back(static_cast<std::uint8_t>(config.depth));
   out.push_back(config.encode_colors ? 1 : 0);

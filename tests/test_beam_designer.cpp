@@ -163,6 +163,29 @@ TEST(BeamDesigner, ReflectionEmptyWhenNoWalls) {
   EXPECT_TRUE(reflection.awv.empty());
 }
 
+TEST(BeamDesigner, ReflectionOnPathTableMatchesFullRow) {
+  // The mitigator designs reflection beams on a codebook-less row
+  // (Testbed::path_table): the beam, its RSS and its rate must be
+  // bit-identical to a design on the full link_table row.
+  Fixture f;
+  for (const double angle : {-0.9, -0.4, 0.0, 0.3, 0.8}) {
+    for (const double radius : {1.4, 2.2, 3.0}) {
+      const geo::Vec3 pos = f.seat(angle, radius);
+      const mmwave::LinkTable full = f.testbed.link_table({&pos, 1});
+      const mmwave::LinkTable paths = f.testbed.path_table({&pos, 1});
+      EXPECT_TRUE(paths.row(0).codebook_gain.empty());
+      EXPECT_TRUE(paths.row(0).steer_awv.empty());
+      const GroupBeam want = f.designer.design_reflection(full, 0);
+      const GroupBeam got = f.designer.design_reflection(paths, 0);
+      ASSERT_FALSE(want.awv.empty()) << angle << " " << radius;
+      EXPECT_EQ(got.awv, want.awv);
+      EXPECT_EQ(got.min_member_rss_dbm, want.min_member_rss_dbm);
+      EXPECT_EQ(got.multicast_rate_mbps, want.multicast_rate_mbps);
+      EXPECT_EQ(got.custom, want.custom);
+    }
+  }
+}
+
 class GroupSizeSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(GroupSizeSweep, MinMemberRssFallsWithGroupSize) {

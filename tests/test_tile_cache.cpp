@@ -15,16 +15,23 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/fleet.h"
 #include "core/session.h"
+#include "core/stages/session_state.h"
+#include "core/stages/tick_context.h"
+#include "core/stages/tiling_stage.h"
+#include "obs/telemetry.h"
 #include "session_compare.h"
 
 namespace volcast {
@@ -438,6 +445,150 @@ TEST(TilingStage, EightUsersTwoClustersEncodeAtLeastTwiceCheaper) {
   ASSERT_GT(off.tiles.encoded_bytes, 0u);
   EXPECT_GE(static_cast<double>(off.tiles.encoded_bytes),
             2.0 * static_cast<double>(shared.tiles.encoded_bytes));
+}
+
+// --- tick-local mark: one cache fetch per key per tick ---------------------
+
+/// Drives the shared TilingStage directly over an external cache: every
+/// user sits in one multicast group on AP 0, user u sees cells
+/// [4u, 4u + 16) — heavy overlap — at the tier the test assigns.
+struct TickRig {
+  vv::TileCache cache;
+  core::SessionState state{rig_config(&cache)};
+  core::TilingStage stage{true};
+
+  static core::SessionConfig rig_config(vv::TileCache* cache) {
+    core::SessionConfig config = fast_config();
+    config.tile_cache = cache;
+    return config;
+  }
+
+  [[nodiscard]] std::vector<vv::CellId> cells_of(std::size_t u) const {
+    std::vector<vv::CellId> cells;
+    for (std::size_t c = 4 * u;
+         c < std::min(4 * u + 16, state.grid.cell_count()); ++c)
+      cells.push_back(static_cast<vv::CellId>(c));
+    return cells;
+  }
+
+  void run_tick(std::size_t tick, std::size_t frame) {
+    core::TickContext ctx;
+    ctx.tick = tick;
+    ctx.tick32 = static_cast<std::uint32_t>(tick);
+    ctx.frame = frame;
+    ctx.ap_plans.resize(state.coordinator.ap_count());
+    ctx.ap_plans[0].active = true;
+    mac::GroupPlan group;
+    for (std::size_t u = 0; u < state.user_count(); ++u) {
+      group.members.push_back({u, 0.0, 0.0, 0.0});
+      view::VisibilityMap map(state.grid.cell_count());
+      for (const vv::CellId c : cells_of(u)) map.set(c);
+      ctx.prediction.visibility.push_back(std::move(map));
+    }
+    ctx.ap_plans[0].grouping.schedule.groups.push_back(std::move(group));
+    stage.run(state, ctx);
+  }
+
+  /// Distinct (tier, cell) keys with a non-empty tile among the users'
+  /// requests for `frame`.
+  [[nodiscard]] std::size_t distinct_keys(std::size_t frame) const {
+    std::set<std::pair<std::size_t, vv::CellId>> keys;
+    for (std::size_t u = 0; u < state.user_count(); ++u)
+      for (const vv::CellId c : cells_of(u))
+        if (state.store.cell_bytes(frame, state.users[u].tier, c) > 0)
+          keys.emplace(state.users[u].tier, c);
+    return keys.size();
+  }
+
+  [[nodiscard]] std::uint64_t probes() const {
+    return cache.stats().hits.load() + cache.stats().misses.load();
+  }
+};
+
+TEST(TilingStage, EachKeyIsFetchedOncePerTick) {
+  TickRig rig;
+  ASSERT_GE(rig.state.store.tier_count(), 2u);
+  // Two tiers in play: users 0 and 1 share a tier, 2 and 3 the other, so
+  // a key is (tier, cell), not the cell alone.
+  for (std::size_t u = 0; u < rig.state.user_count(); ++u)
+    rig.state.users[u].tier = u < 2 ? 0 : 1;
+
+  const std::size_t frames[] = {0, 1, 0};
+  std::uint64_t probes = 0;
+  for (std::size_t tick = 0; tick < 3; ++tick) {
+    const std::uint64_t requests_before = rig.state.tiles.requests;
+    rig.run_tick(tick, frames[tick]);
+    const std::size_t distinct = rig.distinct_keys(frames[tick]);
+    ASSERT_GT(distinct, 0u);
+    // Overlapping viewports: far more requests than distinct keys, but
+    // the cache sees each key once per tick (the repeat of frame 0 on
+    // tick 2 fetches again: the mark is tick-local).
+    EXPECT_GT(rig.state.tiles.requests - requests_before, distinct);
+    EXPECT_EQ(rig.probes() - probes, distinct) << "tick " << tick;
+    probes = rig.probes();
+  }
+  EXPECT_EQ(rig.cache.stats().corrupt_rejected.load(), 0u);
+}
+
+TEST(TilingStage, TelemetryProbesEqualMaterializedTiles) {
+  // tile.cache_hits + tile.cache_misses counts every materialized tile —
+  // first fetches and same-tick repeats — so it equals the requests the
+  // brownout did not defer. The tight encode budget and a high deferral
+  // floor make sure some were.
+  core::SessionConfig config = fast_config();
+  config.overload.enabled = true;
+  config.overload.encode_budget_bytes = 100'000.0;
+  config.overload.defer_lod = 0.9;
+  obs::Telemetry telemetry;
+  config.telemetry = &telemetry;
+  const core::SessionResult r = run_with_tiling(std::move(config), "shared");
+  obs::MetricRegistry& metrics = telemetry.metrics();
+  const std::uint64_t deferred =
+      metrics.counter("overload.deferred_tiles").value();
+  EXPECT_GT(deferred, 0u);
+  EXPECT_EQ(deferred, r.overload.deferred_tiles);
+  EXPECT_EQ(metrics.counter("tile.requests").value(), r.tiles.requests);
+  EXPECT_EQ(metrics.counter("tile.cache_hits").value() +
+                metrics.counter("tile.cache_misses").value(),
+            r.tiles.requests - deferred);
+}
+
+TEST(TileCorruption, KeyCorruptedAfterATickIsRejectedAtTheNextTicksFirstFetch) {
+  TickRig rig;
+  rig.run_tick(0, 0);
+  const std::size_t tier = rig.state.users[0].tier;
+  vv::CellId cell = 0;
+  std::size_t bytes = 0;
+  for (const vv::CellId c : rig.cells_of(0)) {
+    bytes = rig.state.store.cell_bytes(0, tier, c);
+    if (bytes > 0) {
+      cell = c;
+      break;
+    }
+  }
+  ASSERT_GT(bytes, 0u);
+  vv::TileKey key;
+  key.content = rig.state.tile_content;
+  key.frame = 0;
+  key.cell = cell;
+  key.tier = static_cast<std::uint16_t>(tier);
+  const vv::Tile fresh = vv::encode_tile(key, bytes);
+
+  // Damage the key between ticks, as the tile-corruption fault does after
+  // a tick's loop. Every user requests this cell again next tick.
+  ASSERT_TRUE(rig.cache.corrupt(key));
+  const std::uint64_t insertions = rig.cache.stats().insertions.load();
+  rig.run_tick(1, 0);
+
+  // Rejected once — at the first fetch, not once per member — and
+  // re-encoded; the resident copy is the fresh bitstream again.
+  EXPECT_EQ(rig.cache.stats().corrupt_rejected.load(), 1u);
+  EXPECT_EQ(rig.cache.stats().insertions.load(), insertions + 1);
+  const std::shared_ptr<const vv::Tile> resident = rig.cache.get(key);
+  ASSERT_NE(resident, nullptr);
+  EXPECT_TRUE(resident->valid());
+  EXPECT_EQ(resident->payload, fresh.payload);
+  EXPECT_EQ(resident->checksum, fresh.checksum);
 }
 
 // --- fleet-shared cache ---------------------------------------------------

@@ -9,11 +9,17 @@
 //       prints the pairwise viewport-similarity matrix (50 cm cells);
 //   volcast_trace summarize telemetry.jsonl
 //       renders a `volcast_sim --telemetry` log as per-stage cost/time
-//       percentile tables plus event and metric summaries.
+//       percentile tables plus event and metric summaries;
+//   volcast_trace diff a.jsonl b.jsonl
+//       prints each stage's span total, p50 and p95 from two telemetry
+//       logs side by side with the deltas (b - a), so a regression points
+//       at a layer instead of a total.
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,35 +107,43 @@ void print_iou(const trace::UserStudy& study) {
   }
 }
 
-/// `volcast_trace summarize <telemetry.jsonl>`: per-stage span tables
-/// (logical cost always; wall time when the log captured it), event counts
-/// by layer/type, and the counter snapshot.
-int summarize(const std::string& path) {
+/// Reads and parses a `volcast_sim --telemetry` log into `records`. On a
+/// missing, unreadable, malformed or empty file prints the reason and
+/// returns false.
+bool load_log(const std::string& path, std::vector<obs::JsonRecord>& records) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "volcast_trace: cannot open %s\n", path.c_str());
-    return 1;
+    return false;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   if (in.bad()) {
     std::fprintf(stderr, "volcast_trace: read error on %s\n", path.c_str());
-    return 1;
+    return false;
   }
-  std::vector<obs::JsonRecord> records;
   try {
     records = obs::parse_jsonl(buffer.str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "volcast_trace: %s: %s\n", path.c_str(), e.what());
-    return 1;
+    return false;
   }
   if (records.empty()) {
     std::fprintf(stderr,
                  "volcast_trace: %s holds no telemetry records (empty or "
                  "not a --telemetry log)\n",
                  path.c_str());
-    return 1;
+    return false;
   }
+  return true;
+}
+
+/// `volcast_trace summarize <telemetry.jsonl>`: per-stage span tables
+/// (logical cost always; wall time when the log captured it), event counts
+/// by layer/type, and the counter snapshot.
+int summarize(const std::string& path) {
+  std::vector<obs::JsonRecord> records;
+  if (!load_log(path, records)) return 1;
 
   struct StageStats {
     std::size_t count = 0;
@@ -349,10 +363,108 @@ int summarize(const std::string& path) {
   return 0;
 }
 
+/// Per-stage span wall times (us) of one log, for `diff`. Returns false,
+/// with the reason printed, when a record is malformed or the log was
+/// written without wall-clock spans (--telemetry-no-wall).
+bool stage_wall_times(const std::string& path,
+                      const std::vector<obs::JsonRecord>& records,
+                      std::map<std::string, EmpiricalDistribution>& stages) {
+  try {
+    for (const obs::JsonRecord& record : records) {
+      if (record.str("record") != "span") continue;
+      if (!record.has("wall_us")) {
+        std::fprintf(stderr,
+                     "volcast_trace: %s has spans without wall time; diff "
+                     "needs a log written without --telemetry-no-wall\n",
+                     path.c_str());
+        return false;
+      }
+      stages[record.str("stage")].add(record.num("wall_us"));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "volcast_trace: %s: %s\n", path.c_str(), e.what());
+    return false;
+  }
+  if (stages.empty()) {
+    std::fprintf(stderr, "volcast_trace: %s holds no spans\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// `volcast_trace diff <a.jsonl> <b.jsonl>`: each stage's span wall time —
+/// total ms, p50 and p95 us — from both logs side by side, with the
+/// deltas b - a. A stage missing from one log shows "-" on that side.
+int diff(const std::string& path_a, const std::string& path_b) {
+  std::vector<obs::JsonRecord> records_a;
+  std::vector<obs::JsonRecord> records_b;
+  std::map<std::string, EmpiricalDistribution> a;
+  std::map<std::string, EmpiricalDistribution> b;
+  if (!load_log(path_a, records_a) || !load_log(path_b, records_b) ||
+      !stage_wall_times(path_a, records_a, a) ||
+      !stage_wall_times(path_b, records_b, b))
+    return 1;
+
+  std::vector<std::string> names;
+  for (const auto& [name, samples] : a) names.push_back(name);
+  for (const auto& [name, samples] : b)
+    if (!a.contains(name)) names.push_back(name);
+
+  // A stage's {total ms, p50 us, p95 us} in one log; nullopt when absent.
+  using Stats = std::array<double, 3>;
+  const auto stats_of = [](const std::map<std::string, EmpiricalDistribution>&
+                               log,
+                           const std::string& name) -> std::optional<Stats> {
+    const auto it = log.find(name);
+    if (it == log.end()) return std::nullopt;
+    const EmpiricalDistribution& d = it->second;
+    return Stats{d.mean() * static_cast<double>(d.count()) / 1e3,
+                 d.percentile(50), d.percentile(95)};
+  };
+  // Appends the (a, b, delta) column triple of one statistic.
+  const auto triple = [](std::vector<std::string>& row,
+                         std::optional<double> va, std::optional<double> vb,
+                         int precision) {
+    row.push_back(va ? AsciiTable::num(*va, precision) : "-");
+    row.push_back(vb ? AsciiTable::num(*vb, precision) : "-");
+    if (!va || !vb) {
+      row.push_back("-");
+      return;
+    }
+    const double delta = *vb - *va;
+    row.push_back((delta < 0.0 ? "" : "+") + AsciiTable::num(delta, precision));
+  };
+
+  std::printf("per-stage span wall time, a = %s, b = %s (delta = b - a):\n",
+              path_a.c_str(), path_b.c_str());
+  AsciiTable table;
+  table.header({"stage", "a ms_total", "b ms_total", "delta", "a p50 us",
+                "b p50 us", "delta", "a p95 us", "b p95 us", "delta"});
+  double sum_a = 0.0;
+  double sum_b = 0.0;
+  for (const std::string& name : names) {
+    const std::optional<Stats> sa = stats_of(a, name);
+    const std::optional<Stats> sb = stats_of(b, name);
+    if (sa) sum_a += (*sa)[0];
+    if (sb) sum_b += (*sb)[0];
+    std::vector<std::string> row = {name};
+    for (std::size_t k = 0; k < 3; ++k)
+      triple(row, sa ? std::optional((*sa)[k]) : std::nullopt,
+             sb ? std::optional((*sb)[k]) : std::nullopt, k == 0 ? 2 : 1);
+    table.row(row);
+  }
+  std::vector<std::string> total = {"total"};
+  triple(total, sum_a, sum_b, 2);
+  table.row(total);
+  std::printf("%s", table.render().c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Sub-command form (positional, before flag parsing): summarize <file>.
+  // Sub-command forms (positional, before flag parsing): summarize <file>,
+  // diff <a> <b>.
   if (argc >= 2 && std::string(argv[1]) == "summarize") {
     if (argc != 3) {
       std::fprintf(stderr,
@@ -360,6 +472,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     return summarize(argv[2]);
+  }
+  if (argc >= 2 && std::string(argv[1]) == "diff") {
+    if (argc != 4) {
+      std::fprintf(stderr,
+                   "usage: volcast_trace diff <a.jsonl> <b.jsonl>\n");
+      return 1;
+    }
+    return diff(argv[2], argv[3]);
   }
   FlagParser flags("volcast_trace", "6DoF viewing-trace toolkit");
   flags.add_number("users", 32, "study participants (half PH, half HM)");
